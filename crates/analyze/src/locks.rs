@@ -68,13 +68,8 @@ use crate::workspace::{SourceFile, Workspace};
 /// another acquisition): the registry mutex exists only to pair its
 /// condvar, replica incarnations are built and joined entirely outside
 /// the seat lock, and checkpoints are cloned in and out of the cell
-/// with nothing else held. `service::index` is the innermost lock: the
-/// commit path touches it from inside `GraphStore::mutate` via the
-/// mutation-observer closure (an edge the call graph cannot see —
-/// documented here instead of inferred), and every other use pops,
-/// replays, or installs a row in its own short critical section with
-/// the probe work done unlocked in between.
-pub const INTENDED_LOCK_ORDER: [&str; 9] = [
+/// with nothing else held.
+pub const INTENDED_LOCK_ORDER: [&str; 8] = [
     "fleet::registry",
     "fleet::records",
     "fleet::seat",
@@ -83,7 +78,6 @@ pub const INTENDED_LOCK_ORDER: [&str; 9] = [
     "service::store",
     "service::inner",
     "service::published",
-    "service::index",
 ];
 
 /// What flavour of synchronisation primitive a declaration is.

@@ -80,8 +80,7 @@ fn lock_order_section_documents_the_serving_path() {
             "service::state",
             "service::store",
             "service::inner",
-            "service::published",
-            "service::index"
+            "service::published"
         ]
     );
     let edges: Vec<(&str, &str)> = section

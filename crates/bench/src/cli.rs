@@ -40,8 +40,8 @@ pub const USAGE: &str = "usage:
                         the work counters are deterministic, so this is tight;
                         *_fused scenarios are additionally capped at +5%)
   --contrast FILE       pair this run's <base>_fused/<base>_legacy scenarios
-                        plus the explicit cross-engine pairs (the index engine
-                        vs its index-free yardstick), write a one-line JSON
+                        plus the explicit pairs (cached revisit streams vs
+                        their uncached yardsticks), write a one-line JSON
                         summary (work_reduction_pct per pair) to FILE, and
                         exit 1 when a pair's deterministic work reduction
                         falls below its floor

@@ -514,9 +514,9 @@ pub struct ScenarioReport {
     /// informational).
     pub cache_hits: Option<u64>,
     /// Cache hit rate over the stream. Present only when deterministic
-    /// given the seed (the sequential cache-repeat scenario) — the
-    /// comparator then gates it tightly: a current rate below the
-    /// baseline fails.
+    /// given the seed (the sequential cache-repeat and cache-revisit
+    /// scenarios) — the comparator then gates it tightly: a current rate
+    /// below the baseline fails.
     pub cache_hit_rate: Option<f64>,
     /// Requests aborted by their deadline (service scenarios only;
     /// informational — wall-clock dependent).
@@ -530,12 +530,6 @@ pub struct ScenarioReport {
     /// Router failovers off a dying or regressed endpoint (chaos fleet
     /// scenario only; informational).
     pub failovers: Option<u64>,
-    /// Hash of the per-query replay/build-through decisions the
-    /// contribution-index engine made (index scenarios only).
-    /// Seed-deterministic, so the comparator gates it exactly: a planner
-    /// that starts deciding differently on the same workload fails even
-    /// when the work totals cancel out.
-    pub planner_fingerprint: Option<u64>,
 }
 
 /// The five-number latency summary serialized per scenario.
@@ -628,7 +622,6 @@ impl ScenarioReport {
             recoveries: result.recoveries,
             restarts: result.restarts,
             failovers: result.failovers,
-            planner_fingerprint: result.planner_fingerprint,
         }
     }
 
@@ -682,9 +675,6 @@ impl ScenarioReport {
                 }
                 if let Some(failovers) = self.failovers {
                     workload.push(("failovers", Json::UInt(failovers)));
-                }
-                if let Some(fingerprint) = self.planner_fingerprint {
-                    workload.push(("planner_fingerprint", Json::UInt(fingerprint)));
                 }
                 Json::obj(workload)
             }),
@@ -794,7 +784,6 @@ impl ScenarioReport {
             recoveries: workload.get("recoveries").and_then(Json::as_u64),
             restarts: workload.get("restarts").and_then(Json::as_u64),
             failovers: workload.get("failovers").and_then(Json::as_u64),
-            planner_fingerprint: workload.get("planner_fingerprint").and_then(Json::as_u64),
         })
     }
 
@@ -920,20 +909,6 @@ pub enum Verdict {
         /// emitting one (itself a regression of the cache gate).
         current: Option<f64>,
     },
-    /// The per-query planner decisions of an index scenario diverged
-    /// from the baseline (or the current run stopped emitting the
-    /// fingerprint against a gating baseline). The decisions are
-    /// seed-deterministic, so any drift is a real planner behavior
-    /// change — gated exactly, like the workload fingerprint.
-    PlannerDrift {
-        /// Scenario name.
-        scenario: String,
-        /// Baseline decision fingerprint.
-        baseline: u64,
-        /// Current decision fingerprint; `None` when the current run
-        /// stopped emitting one.
-        current: Option<u64>,
-    },
     /// The scenario exists on only one side; informational, never fails
     /// the gate (new scenarios must be able to land before their baseline
     /// does).
@@ -955,7 +930,6 @@ impl Verdict {
                 | Verdict::FingerprintMismatch { .. }
                 | Verdict::WorkGateDisarmed { .. }
                 | Verdict::CacheHitRate { .. }
-                | Verdict::PlannerDrift { .. }
         )
     }
 }
@@ -1014,24 +988,6 @@ impl fmt::Display for Verdict {
                     f,
                     "REGRESSION {scenario}: cache hit rate missing from the current run \
                      (baseline has {baseline:.4}) — the cache gate stopped being emitted"
-                ),
-            },
-            Verdict::PlannerDrift {
-                scenario,
-                baseline,
-                current,
-            } => match current {
-                Some(current) => write!(
-                    f,
-                    "REGRESSION {scenario}: planner decision fingerprint {current:#018x} vs \
-                     baseline {baseline:#018x} — the index engine decided differently on the \
-                     same seeded workload"
-                ),
-                None => write!(
-                    f,
-                    "REGRESSION {scenario}: planner decision fingerprint missing from the \
-                     current run (baseline has {baseline:#018x}) — the planner gate stopped \
-                     being emitted"
                 ),
             },
             Verdict::Missing { scenario, side } => {
@@ -1168,20 +1124,6 @@ pub fn compare(
                 });
             }
         }
-        // Planner decisions: seed-deterministic on the scenarios that
-        // report them, so gated exactly and with the same asymmetry as
-        // the workload fingerprint — a vanished fingerprint against a
-        // gating baseline fails loudly.
-        if let Some(base_fp) = base.planner_fingerprint {
-            if cur.planner_fingerprint != Some(base_fp) {
-                regressed = true;
-                verdicts.push(Verdict::PlannerDrift {
-                    scenario: cur.scenario.clone(),
-                    baseline: base_fp,
-                    current: cur.planner_fingerprint,
-                });
-            }
-        }
         if !regressed {
             verdicts.push(Verdict::Pass {
                 scenario: cur.scenario.clone(),
@@ -1200,17 +1142,16 @@ pub fn compare(
 }
 
 /// One candidate-vs-yardstick scenario pairing: either a
-/// `<base>_fused` / `<base>_legacy` suffix pair, or an explicit
-/// cross-engine row from [`CROSS_ENGINE_CONTRASTS`]. The `fused_*`
-/// fields hold the candidate (fused engine, or the contribution-index
-/// engine), the `legacy_*` fields the index-free yardstick — the field
-/// names keep the original suffix-pair vocabulary so the emitted
-/// contrast JSON schema stays stable.
+/// `<base>_fused` / `<base>_legacy` suffix pair, or an explicit row
+/// from [`EXPLICIT_CONTRASTS`]. The `fused_*` fields hold the candidate
+/// (the fused engine, or a cached revisit stream), the `legacy_*`
+/// fields the yardstick — the field names keep the original suffix-pair
+/// vocabulary so the emitted contrast JSON schema stays stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContrastPair {
     /// Pair label: the shared scenario-name prefix for suffix pairs
-    /// (e.g. `probe_static`), the candidate scenario name for
-    /// cross-engine pairs (e.g. `index_static_contrast`).
+    /// (e.g. `probe_static`), the candidate scenario name for explicit
+    /// pairs (e.g. `cache_revisit_static`).
     pub base: String,
     /// `total_work` of the candidate run.
     pub fused_total_work: usize,
@@ -1226,16 +1167,16 @@ pub struct ContrastPair {
     pub floor_pct: Option<f64>,
 }
 
-/// Explicit cross-engine contrast pairings the suffix convention cannot
-/// express: `(candidate scenario, yardstick scenario, per-pair minimum
-/// work-reduction floor in percent)`. The index engine's static revisit
-/// stream must beat the fused index-free engine by at least 30% — the
-/// reduction the second engine exists to deliver — while the churn pair
-/// gates at the CLI-wide floor (repairs and build-throughs legitimately
-/// eat into the replay savings under write pressure).
-pub const CROSS_ENGINE_CONTRASTS: [(&str, &str, Option<f64>); 2] = [
-    ("index_static_contrast", "probe_static_fused", Some(30.0)),
-    ("index_dynamic_churn", "dynamic_churn_balanced", None),
+/// Explicit contrast pairings the suffix convention cannot express:
+/// `(candidate scenario, yardstick scenario, per-pair minimum
+/// work-reduction floor in percent)`. The static revisit stream through
+/// the `(version, source)` cache must beat the uncached fused engine by
+/// at least 30%, while the churn pair gates at the CLI-wide floor (every
+/// commit forces one re-execution per source, which eats into the
+/// savings under write pressure).
+pub const EXPLICIT_CONTRASTS: [(&str, &str, Option<f64>); 2] = [
+    ("cache_revisit_static", "probe_static_fused", Some(30.0)),
+    ("cache_revisit_churn", "dynamic_churn_balanced", None),
 ];
 
 impl ContrastPair {
@@ -1260,7 +1201,7 @@ fn reduction_pct(legacy: usize, fused: usize) -> f64 {
 }
 
 /// Pairs `<base>_fused` / `<base>_legacy` reports from one run, then
-/// appends the explicit [`CROSS_ENGINE_CONTRASTS`] rows whose scenarios
+/// appends the explicit [`EXPLICIT_CONTRASTS`] rows whose scenarios
 /// are both present. Reports without a counterpart are skipped (the
 /// contrast gate then simply has nothing to say about them).
 pub fn contrast_pairs(reports: &[ScenarioReport]) -> Vec<ContrastPair> {
@@ -1282,7 +1223,7 @@ pub fn contrast_pairs(reports: &[ScenarioReport]) -> Vec<ContrastPair> {
             floor_pct: None,
         });
     }
-    for &(candidate_name, yardstick_name, floor_pct) in &CROSS_ENGINE_CONTRASTS {
+    for &(candidate_name, yardstick_name, floor_pct) in &EXPLICIT_CONTRASTS {
         let candidate = reports.iter().find(|r| r.scenario == candidate_name);
         let yardstick = reports.iter().find(|r| r.scenario == yardstick_name);
         let (Some(candidate), Some(yardstick)) = (candidate, yardstick) else {
@@ -1373,7 +1314,6 @@ mod tests {
             recoveries: None,
             restarts: None,
             failovers: None,
-            planner_fingerprint: None,
         }
     }
 
@@ -1828,14 +1768,14 @@ mod tests {
 
     #[test]
     fn cross_engine_contrast_pairs_carry_their_floor() {
-        let mut index = report("index_static_contrast", 0.001, 300);
-        index.kind = "index".to_string();
+        let mut cached = report("cache_revisit_static", 0.001, 300);
+        cached.kind = "service".to_string();
         let fused = report("probe_static_fused", 0.001, 1000);
-        // Both halves present: one suffixless cross-engine pair with the
-        // 30% floor (the fused report has no _legacy twin here).
-        let pairs = contrast_pairs(&[index.clone(), fused.clone()]);
+        // Both halves present: one suffixless explicit pair with the 30%
+        // floor (the fused report has no _legacy twin here).
+        let pairs = contrast_pairs(&[cached.clone(), fused.clone()]);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].base, "index_static_contrast");
+        assert_eq!(pairs[0].base, "cache_revisit_static");
         assert_eq!(pairs[0].fused_total_work, 300);
         assert_eq!(pairs[0].legacy_total_work, 1000);
         assert_eq!(pairs[0].floor_pct, Some(30.0));
@@ -1843,69 +1783,14 @@ mod tests {
         let text = contrast_json(&pairs).to_string();
         assert!(text.contains("\"floor_pct\": 30"), "{text}");
         // A missing yardstick produces no pair rather than a bogus one.
-        assert_eq!(contrast_pairs(&[index]).len(), 0);
+        assert_eq!(contrast_pairs(&[cached]).len(), 0);
         // The churn pair rides at the CLI-wide floor.
-        let mut churn = report("index_dynamic_churn", 0.001, 400);
-        churn.kind = "index".to_string();
+        let mut churn = report("cache_revisit_churn", 0.001, 400);
+        churn.kind = "service".to_string();
         let balanced = report("dynamic_churn_balanced", 0.001, 900);
         let pairs = contrast_pairs(&[churn, balanced]);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].floor_pct, None);
-    }
-
-    #[test]
-    fn planner_fingerprint_round_trips_and_gates_exactly() {
-        let mut original = report("index_static_contrast", 0.001, 300);
-        original.kind = "index".to_string();
-        // Above 2^53 so an f64 round-trip would corrupt it.
-        original.planner_fingerprint = Some(u64::MAX - 3);
-        original.query_stats = probesim_core::QueryStats::FIELD_NAMES
-            .into_iter()
-            .map(|n| (n, 0))
-            .collect();
-        let text = original.to_json().to_string();
-        assert!(text.contains(&format!("\"planner_fingerprint\": {}", u64::MAX - 3)));
-        let parsed = ScenarioReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, original);
-        // Identical fingerprints pass.
-        let verdicts = compare(
-            &[original.clone()],
-            &[original.clone()],
-            CompareThresholds::default(),
-        );
-        assert!(verdicts.iter().all(|v| !v.is_regression()), "{verdicts:?}");
-        // Any drift fails exactly.
-        let mut drifted = original.clone();
-        drifted.planner_fingerprint = Some(u64::MAX - 4);
-        let verdicts = compare(
-            &[original.clone()],
-            &[drifted],
-            CompareThresholds::default(),
-        );
-        let drift = verdicts
-            .iter()
-            .find(|v| matches!(v, Verdict::PlannerDrift { .. }))
-            .expect("planner drift verdict");
-        assert!(drift.is_regression());
-        assert!(drift.to_string().contains("decided differently"), "{drift}");
-        // Asymmetric: vanishing against a gating baseline fails loudly…
-        let mut vanished = original.clone();
-        vanished.planner_fingerprint = None;
-        let verdicts = compare(
-            &[original.clone()],
-            &[vanished],
-            CompareThresholds::default(),
-        );
-        let gone = verdicts
-            .iter()
-            .find(|v| v.is_regression())
-            .expect("missing-fingerprint regression");
-        assert!(gone.to_string().contains("missing from the current run"));
-        // …but a baseline predating the field never arms the gate.
-        let mut old_baseline = original.clone();
-        old_baseline.planner_fingerprint = None;
-        let verdicts = compare(&[old_baseline], &[original], CompareThresholds::default());
-        assert!(verdicts.iter().all(|v| !v.is_regression()));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::hash::Hasher;
 use std::time::{Duration, Instant};
 
-use probesim_core::{IndexEngine, ProbeBudget, ProbeSim, ProbeSimConfig, Query, QueryStats};
+use probesim_core::{ProbeSim, ProbeSimConfig, Query, QueryStats};
 use probesim_datasets::{sliding_window_workload, Dataset, Scale};
 use probesim_eval::sample_query_nodes;
 use probesim_fleet::{FaultPlan, Fleet, FleetError};
@@ -212,7 +212,7 @@ pub enum ScenarioKind {
     },
     /// The result-cache scenario: a Zipf-repeated query stream issued
     /// sequentially against a quiescent `QueryService`, so each distinct
-    /// `(version, query)` executes exactly once and every repeat is a
+    /// `(version, source)` executes exactly once and every repeat is a
     /// cache hit. Deterministic given the seed — the reported
     /// `cache_hit_rate` is gated tightly by the CI comparator, and
     /// `query_stats` counts fresh executions only (cache hits add zero
@@ -261,31 +261,18 @@ pub enum ScenarioKind {
         /// Queries in the update:query ratio.
         queries_per_round: usize,
     },
-    /// The contribution-index engine ([`probesim_core::IndexEngine`]) on
-    /// a static graph: a query stream revisiting `distinct` sources under
-    /// rotating query shapes, so the first visit to each source builds
-    /// its truncated reverse-PPR row (full probe work) and every revisit
-    /// — whatever the query kind — replays it in `O(row)`. The contrast
-    /// gate pins the resulting work reduction against
-    /// `probe_static_fused`, which answers the same query budget
-    /// index-free.
-    IndexStatic {
+    /// A query stream revisiting `distinct` sources under rotating query
+    /// shapes, issued sequentially through a `QueryService`: the first
+    /// visit to a source at a store version executes (full probe work),
+    /// and every revisit at that version — whatever the query kind — is
+    /// a `(version, source)` cache hit. With `updates_per_round > 0`
+    /// each round first commits that many stream events, so every round
+    /// re-executes each source once at the new version. Sequential, so
+    /// hits and work are pure functions of the seed.
+    CacheRevisit {
         /// Distinct query sources behind the rotating stream.
         distinct: usize,
-    },
-    /// The contribution-index engine racing a live update stream: each
-    /// round applies `updates_per_round` events to a
-    /// [`probesim_graph::GraphStore`] whose mutation observer feeds the
-    /// index's dirty queue, drains one lazy repair, then issues
-    /// `queries_per_round` queries over `distinct` revisited sources —
-    /// fresh rows replay, stale rows fall back to the build-through that
-    /// doubles as the rebuild. The per-query replay/build-through
-    /// decisions are hashed into the seed-deterministic planner
-    /// fingerprint the comparator gates.
-    IndexChurn {
-        /// Distinct query sources behind the rotating stream.
-        distinct: usize,
-        /// Edge events applied per round.
+        /// Edge events committed per round (0 on a static graph).
         updates_per_round: usize,
         /// Queries issued per round.
         queries_per_round: usize,
@@ -371,7 +358,10 @@ impl ScenarioSpec {
                 | ScenarioKind::ServiceInteractiveMix { .. }
                 | ScenarioKind::FleetReplicated { .. }
                 | ScenarioKind::FleetChaos { .. }
-                | ScenarioKind::IndexChurn { .. }
+                | ScenarioKind::CacheRevisit {
+                    updates_per_round: 1..,
+                    ..
+                }
         )
     }
 
@@ -381,9 +371,9 @@ impl ScenarioSpec {
             ScenarioKind::DynamicInterleaved { .. } => "dynamic",
             ScenarioKind::StoreConcurrent { .. } => "concurrent",
             ScenarioKind::ServiceInteractiveMix { .. }
-            | ScenarioKind::ServiceCacheRepeat { .. } => "service",
+            | ScenarioKind::ServiceCacheRepeat { .. }
+            | ScenarioKind::CacheRevisit { .. } => "service",
             ScenarioKind::FleetReplicated { .. } | ScenarioKind::FleetChaos { .. } => "fleet",
-            ScenarioKind::IndexStatic { .. } | ScenarioKind::IndexChurn { .. } => "index",
             _ => "static",
         }
     }
@@ -461,13 +451,6 @@ pub struct ScenarioResult {
     /// Router failovers after an endpoint died or regressed under a
     /// dispatched request (chaos fleet scenario only; informational).
     pub failovers: Option<u64>,
-    /// Order-sensitive hash of the per-query engine decisions the run
-    /// made (index scenarios only): 1 for a row replay, 2 for a stale
-    /// build-through. Seed-deterministic by construction, so the
-    /// comparator gates it exactly — a planner that starts deciding
-    /// differently on the same workload fails loudly even when the work
-    /// totals happen to cancel out.
-    pub planner_fingerprint: Option<u64>,
 }
 
 /// The full scenario catalog, in a stable order.
@@ -482,13 +465,12 @@ pub struct ScenarioResult {
 /// committing through the durable log, log-tailing replicas, and
 /// mixed-consistency clients behind the consistency-aware router —
 /// once fault-free, once under a seeded chaos plan with supervised
-/// crash recovery), two contribution-index engine workloads (a static
-/// revisit stream contrasted against the index-free `probe_static_fused`
-/// budget, and a churn stream exercising replay / stale fallback / lazy
-/// repair against `dynamic_churn_balanced`), and two tier-4 locality
-/// workloads (the parallel
-/// fused sweep at a pinned thread count, and the degree-ordered
-/// relabeled store).
+/// crash recovery), two source-revisit streams through the
+/// `(version, source)` result cache (one static, contrasted against the
+/// uncached `probe_static_fused` budget, one under churn, contrasted
+/// against `dynamic_churn_balanced`), and two tier-4 locality workloads
+/// (the parallel fused sweep at a pinned thread count, and the
+/// degree-ordered relabeled store).
 pub fn catalog() -> Vec<ScenarioSpec> {
     vec![
         ScenarioSpec {
@@ -814,28 +796,22 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             parallel_sweep: false,
             relabel: false,
         },
-        // Tier-4 locality scenarios: the same balanced dynamic stream as
-        // dynamic_churn_balanced, once with the intra-query parallel
-        // sweep pinned at 4 threads (deterministic strategy work is
-        // unchanged; the counters gate that invariant on real
-        // workloads), once with the store built degree-ordered (the
-        // relabeling must be answer-invisible, so the fingerprint hash
-        // doubles as the correctness gate).
-        // The second engine: the PRSim-style contribution index. The
-        // static stream revisits 3 sources under rotating query shapes,
-        // so the first visit builds a truncated row (full probe work)
-        // and every revisit replays it in O(row); the cross-engine
-        // contrast pair pins the work reduction against
-        // probe_static_fused, which spends the same 12-query budget
-        // index-free on the same graph. The churn variant wires the
-        // store's mutation observer into the repair queue, drains one
-        // lazy repair per round, and gates the seed-deterministic
-        // replay/build-through decision fingerprint.
+        // Source revisits through the (version, source) result cache:
+        // 3 sources revisited under rotating query shapes, so each source
+        // executes once per store version and every other visit is a
+        // cross-kind hit. The static stream spends probe_static_fused's
+        // 12-query budget on the same graph; the churn stream commits one
+        // event per 8-query round on dynamic_churn_balanced's graph. Both
+        // contrast pairs pin the work the cache saves.
         ScenarioSpec {
-            name: "index_static_contrast",
-            description: "contribution-index engine: 3 sources revisited under rotating shapes",
+            name: "cache_revisit_static",
+            description: "QueryService: 3 sources revisited under rotating shapes, static graph",
             graph: GraphSource::Dataset(Dataset::WikiVote),
-            kind: ScenarioKind::IndexStatic { distinct: 3 },
+            kind: ScenarioKind::CacheRevisit {
+                distinct: 3,
+                updates_per_round: 0,
+                queries_per_round: 12,
+            },
             epsilon: 0.1,
             queries: 12,
             fuse_probes: true,
@@ -843,13 +819,13 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             relabel: false,
         },
         ScenarioSpec {
-            name: "index_dynamic_churn",
-            description: "contribution-index engine racing a live update stream with lazy repair",
+            name: "cache_revisit_churn",
+            description: "QueryService: 3 sources revisited under rotating shapes beside a writer",
             graph: GraphSource::SlidingWindow {
                 n: 20_000,
                 window: 120_000,
             },
-            kind: ScenarioKind::IndexChurn {
+            kind: ScenarioKind::CacheRevisit {
                 distinct: 3,
                 updates_per_round: 1,
                 queries_per_round: 8,
@@ -860,6 +836,13 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             parallel_sweep: false,
             relabel: false,
         },
+        // Tier-4 locality scenarios: the same balanced dynamic stream as
+        // dynamic_churn_balanced, once with the intra-query parallel
+        // sweep pinned at 4 threads (deterministic strategy work is
+        // unchanged; the counters gate that invariant on real
+        // workloads), once with the store built degree-ordered (the
+        // relabeling must be answer-invisible, so the fingerprint hash
+        // doubles as the correctness gate).
         ScenarioSpec {
             name: "probe_parallel_sweep",
             description: "balanced dynamic stream with the parallel fused sweep (4 threads)",
@@ -1007,14 +990,11 @@ pub fn run_scenario(spec: &ScenarioSpec, scale: Scale, seed: u64) -> ScenarioRes
             queries_per_round,
             true,
         ),
-        ScenarioKind::IndexStatic { distinct } => {
-            run_index_static(spec, scale, seed, &engine, distinct)
-        }
-        ScenarioKind::IndexChurn {
+        ScenarioKind::CacheRevisit {
             distinct,
             updates_per_round,
             queries_per_round,
-        } => run_index_churn(
+        } => run_cache_revisit(
             spec,
             scale,
             seed,
@@ -1119,8 +1099,7 @@ fn run_static(spec: &ScenarioSpec, scale: Scale, seed: u64, engine: &ProbeSim) -
         | ScenarioKind::ServiceCacheRepeat { .. }
         | ScenarioKind::FleetReplicated { .. }
         | ScenarioKind::FleetChaos { .. }
-        | ScenarioKind::IndexStatic { .. }
-        | ScenarioKind::IndexChurn { .. } => {
+        | ScenarioKind::CacheRevisit { .. } => {
             unreachable!("handled by the dedicated run_* dispatchers")
         }
     }
@@ -1146,7 +1125,6 @@ fn run_static(spec: &ScenarioSpec, scale: Scale, seed: u64, engine: &ProbeSim) -
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: None,
     }
 }
 
@@ -1162,99 +1140,30 @@ fn graph_state_hash(num_nodes: usize, edges: impl Iterator<Item = Edge>) -> u64 
     hasher.finish()
 }
 
-/// Order-sensitive FxHash of the per-query engine decisions an index
-/// scenario made (1 = row replay, 2 = stale build-through). The codes
-/// are a pure function of `(spec, scale, seed)`, so the comparator can
-/// gate the hash exactly.
-fn planner_decision_fingerprint(decisions: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write_u64(decisions.len() as u64);
-    hasher.write(decisions);
-    hasher.finish()
-}
-
-/// The query shapes the index scenarios rotate through: every kind is
-/// answerable from the same cached row, which is exactly the claim the
-/// replay path makes.
-const INDEX_SHAPES: [QueryShape; 3] = [
+/// The query shapes the revisit scenarios rotate through: every kind is
+/// answered from the same `(version, source)` cache entry.
+const REVISIT_SHAPES: [QueryShape; 3] = [
     QueryShape::SingleSource,
     QueryShape::TopK(10),
     QueryShape::Threshold(0.05),
 ];
 
-/// The query for visit `i` of an index scenario: sources cycle fastest,
-/// shapes rotate across revisits — so visit 1 of each source is the row
-/// build and later visits replay the same row under a different query
-/// kind.
-fn index_visit_query(sources: &[NodeId], i: usize) -> Query {
+/// The query for visit `i` of a revisit scenario: sources cycle fastest,
+/// shapes rotate across revisits — so the first visit of each source at
+/// a version executes and later visits hit its entry under a different
+/// query kind.
+fn revisit_query(sources: &[NodeId], i: usize) -> Query {
     let u = sources
         .get(i % sources.len().max(1))
         .copied()
         .expect("invariant: the query-node sample is non-empty");
-    INDEX_SHAPES
-        .get((i / sources.len().max(1)) % INDEX_SHAPES.len())
-        .expect("invariant: INDEX_SHAPES is non-empty")
+    REVISIT_SHAPES
+        .get((i / sources.len().max(1)) % REVISIT_SHAPES.len())
+        .expect("invariant: REVISIT_SHAPES is non-empty")
         .for_node(u)
 }
 
-fn run_index_static(
-    spec: &ScenarioSpec,
-    scale: Scale,
-    seed: u64,
-    engine: &ProbeSim,
-    distinct: usize,
-) -> ScenarioResult {
-    let GraphSource::Dataset(dataset) = spec.graph else {
-        unreachable!("catalog invariant: IndexStatic scenarios use a Dataset graph source")
-    };
-    let graph = dataset.generate(scale);
-    let sources = sample_query_nodes(&graph, distinct.max(1), seed);
-    let mut index = IndexEngine::new();
-    let mut session = engine.session(&graph);
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut decisions = Vec::with_capacity(spec.queries);
-    for i in 0..spec.queries {
-        let query = index_visit_query(&sources, i);
-        // The graph never changes, so version 0 stands for the whole
-        // run: the first visit to a source installs its row, every
-        // revisit replays it.
-        let output = query_latency
-            .time(|| index.run(&mut session, 0, query, ProbeBudget::unlimited()))
-            .expect("invariant: sampled query nodes are valid");
-        decisions.push(if output.stats.index_rows_stale > 0 {
-            2
-        } else {
-            1
-        });
-        query_stats.merge(&output.stats);
-    }
-    ScenarioResult {
-        spec: *spec,
-        seed,
-        scale_name: scale_name(scale),
-        dataset: dataset.name().to_string(),
-        nodes: graph.num_nodes(),
-        edges: graph.num_edges(),
-        epsilon: spec.epsilon,
-        queries_executed: spec.queries,
-        query_latency,
-        update_latency: None,
-        query_stats,
-        final_state_hash: None,
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: None,
-        cache_hits: None,
-        cache_hit_rate: None,
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-        planner_fingerprint: Some(planner_decision_fingerprint(&decisions)),
-    }
-}
-
-fn run_index_churn(
+fn run_cache_revisit(
     spec: &ScenarioSpec,
     scale: Scale,
     seed: u64,
@@ -1263,96 +1172,82 @@ fn run_index_churn(
     updates_per_round: usize,
     queries_per_round: usize,
 ) -> ScenarioResult {
-    use std::sync::{Arc, Mutex};
-
-    let GraphSource::SlidingWindow { n, window } = spec.graph else {
-        unreachable!("catalog invariant: IndexChurn scenarios use a SlidingWindow graph source")
-    };
-    let n = scaled(scale, n);
-    let window = scaled(scale, window);
     let rounds = spec.queries.div_ceil(queries_per_round.max(1));
-    let total_updates = rounds * updates_per_round;
-    let (graph, updates) = sliding_window_workload(n, window, total_updates, seed ^ 0x5EED);
-    let mut store = GraphStore::from_view(&graph);
-    drop(graph);
+    let (store, updates, dataset) = match spec.graph {
+        GraphSource::Dataset(dataset) => (
+            GraphStore::from_view(&dataset.generate(scale)),
+            Vec::new(),
+            dataset.name().to_string(),
+        ),
+        GraphSource::SlidingWindow { n, window } => {
+            let n = scaled(scale, n);
+            let window = scaled(scale, window);
+            let (graph, updates) =
+                sliding_window_workload(n, window, rounds * updates_per_round, seed ^ 0x5EED);
+            (
+                GraphStore::from_view(&graph),
+                updates,
+                format!("sliding_window(n={n}, window={window})"),
+            )
+        }
+    };
+    let nodes = store.num_nodes();
     let start_edges = store.num_edges();
     let sources = sample_query_nodes(&store, distinct.max(1), seed);
-    // The service wiring in miniature: every effective mutation flows
-    // through the store's observer into the index's dirty queue. The
-    // mutex exists only because the observer must be Send + Sync; the
-    // whole scenario is single-threaded.
-    let index = Arc::new(Mutex::new(IndexEngine::new()));
-    store.set_mutation_observer({
-        let index = Arc::clone(&index);
-        move |version| index.lock().expect("index poisoned").note_update(version)
-    });
+    let service = ServiceBuilder::new(engine.config().clone())
+        .workers(1)
+        // Room for every (version, source) pair: the hit pattern is
+        // exactly "seen at this version", independent of LRU order.
+        .cache_capacity(sources.len() * (rounds + 1))
+        .build(store);
 
     let mut query_latency = Latencies::new();
     let mut update_latency = Latencies::new();
     let mut query_stats = QueryStats::default();
-    let mut decisions = Vec::with_capacity(spec.queries);
+    let mut cache_hits = 0u64;
     let mut update_iter = updates.into_iter();
     let mut next_query = 0usize;
     for _ in 0..rounds {
         for update in update_iter.by_ref().take(updates_per_round) {
-            update_latency.time(|| store.apply(update));
+            update_latency.time(|| service.commit(update));
         }
-        let version = store.version();
-        let mut session = engine.session(store.snapshot());
-        // One lazy repair per round — the off-query-path maintenance the
-        // service tier schedules. Rows the repair does not reach fall
-        // back to the build-through that doubles as their rebuild.
-        index
-            .lock()
-            .expect("index poisoned")
-            .repair_next(&mut session, version);
-        for _ in 0..queries_per_round {
-            if next_query >= spec.queries {
-                break;
-            }
-            let query = index_visit_query(&sources, next_query);
+        for _ in 0..queries_per_round.min(spec.queries - next_query) {
+            let query = revisit_query(&sources, next_query);
             next_query += 1;
-            let output = query_latency
-                .time(|| {
-                    index.lock().expect("index poisoned").run(
-                        &mut session,
-                        version,
-                        query,
-                        ProbeBudget::unlimited(),
-                    )
-                })
-                .expect("invariant: query nodes stay valid under edge churn");
-            decisions.push(if output.stats.index_rows_stale > 0 {
-                2
+            let response = query_latency
+                .time(|| service.call(Request::new(query)))
+                .expect("invariant: sampled query nodes are valid");
+            // Hits add zero work: query_stats counts executions only.
+            if response.cache_hit {
+                cache_hits += 1;
             } else {
-                1
-            });
-            query_stats.merge(&output.stats);
+                query_stats.merge(&response.output.stats);
+            }
         }
     }
+    let dynamic = spec.is_dynamic();
 
     ScenarioResult {
         spec: *spec,
         seed,
         scale_name: scale_name(scale),
-        dataset: format!("sliding_window(n={n}, window={window})"),
-        nodes: n,
+        dataset,
+        nodes,
         edges: start_edges,
         epsilon: spec.epsilon,
         queries_executed: next_query,
         query_latency,
-        update_latency: Some(update_latency),
+        update_latency: dynamic.then_some(update_latency),
         query_stats,
-        final_state_hash: Some(graph_state_hash(n, store.edges_iter())),
+        final_state_hash: dynamic.then(|| graph_state_hash(nodes, service.snapshot().edges_iter())),
         work_deterministic: spec.work_deterministic(),
         versions_observed: None,
-        cache_hits: None,
-        cache_hit_rate: None,
+        cache_hits: Some(cache_hits),
+        cache_hit_rate: Some(cache_hits as f64 / next_query.max(1) as f64),
         deadline_exceeded: None,
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: Some(planner_decision_fingerprint(&decisions)),
     }
 }
 
@@ -1451,7 +1346,6 @@ fn run_dynamic(
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: None,
     }
 }
 
@@ -1631,7 +1525,6 @@ fn run_store_concurrent(
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: None,
     }
 }
 
@@ -1829,7 +1722,6 @@ fn run_service_interactive_mix(
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: None,
     }
 }
 
@@ -2128,7 +2020,6 @@ fn run_fleet_replicated(
         recoveries,
         restarts,
         failovers,
-        planner_fingerprint: None,
     }
 }
 
@@ -2207,7 +2098,6 @@ fn run_service_cache_repeat(
         recoveries: None,
         restarts: None,
         failovers: None,
-        planner_fingerprint: None,
     }
 }
 
@@ -2287,53 +2177,45 @@ mod tests {
     }
 
     #[test]
-    fn index_static_replays_rows_and_beats_the_fused_budget() {
-        let index_spec = find("index_static_contrast").unwrap();
-        let result = run_scenario(&index_spec, Scale::Ci, 2017);
-        assert_eq!(result.queries_executed, index_spec.queries);
-        // Exactly one build-through per distinct source; every revisit
-        // replays, whatever the query kind.
-        assert_eq!(result.query_stats.index_rows_stale, 3);
-        assert_eq!(result.query_stats.planner_engine, index_spec.queries);
-        assert!(
-            result.query_stats.index_rows_used > 0,
-            "replays charge row entries"
-        );
-        assert!(result.planner_fingerprint.is_some());
+    fn cache_revisit_static_hits_across_kinds_and_beats_the_fused_budget() {
+        let spec = find("cache_revisit_static").unwrap();
+        assert_eq!(spec.kind_name(), "service");
+        assert!(!spec.is_dynamic());
+        let result = run_scenario(&spec, Scale::Ci, 2017);
+        assert_eq!(result.queries_executed, spec.queries);
+        // One execution per distinct source; every revisit hits, whatever
+        // the query kind.
+        assert_eq!(result.cache_hits, Some(9));
+        assert_eq!(result.cache_hit_rate, Some(0.75));
+        assert!(result.update_latency.is_none());
         // The acceptance floor the CI contrast gate enforces: on the
-        // same 12-query budget, same graph, same seed, the index engine
+        // same 12-query budget, same graph, same seed, the cached stream
         // must spend at least 30% less deterministic work than the
-        // fused index-free engine.
-        let fused_spec = find("probe_static_fused").unwrap();
-        let fused = run_scenario(&fused_spec, Scale::Ci, 2017);
-        let index_work = result.query_stats.total_work() as f64;
+        // uncached fused engine.
+        let fused = run_scenario(&find("probe_static_fused").unwrap(), Scale::Ci, 2017);
+        let cached_work = result.query_stats.total_work() as f64;
         let fused_work = fused.query_stats.total_work() as f64;
-        let reduction = 100.0 * (fused_work - index_work) / fused_work;
+        let reduction = 100.0 * (fused_work - cached_work) / fused_work;
         assert!(
             reduction >= 30.0,
-            "index engine saved only {reduction:.1}% ({fused_work} -> {index_work})"
+            "the cache saved only {reduction:.1}% ({fused_work} -> {cached_work})"
         );
     }
 
     #[test]
-    fn index_churn_mixes_replay_repair_and_build_through_deterministically() {
-        let spec = find("index_dynamic_churn").unwrap();
+    fn cache_revisit_churn_executes_each_source_once_per_version() {
+        let spec = find("cache_revisit_churn").unwrap();
+        assert!(spec.is_dynamic());
+        assert!(spec.work_deterministic());
         let a = run_scenario(&spec, Scale::Ci, 2017);
         let b = run_scenario(&spec, Scale::Ci, 2017);
         assert_eq!(a.query_stats, b.query_stats);
-        assert_eq!(a.planner_fingerprint, b.planner_fingerprint);
         assert_eq!(a.final_state_hash, b.final_state_hash);
-        assert!(a.planner_fingerprint.is_some());
+        assert!(a.final_state_hash.is_some());
         assert_eq!(a.queries_executed, spec.queries);
         assert_eq!(a.update_latency.as_ref().unwrap().count(), 3);
-        // Every query was answered by the index engine: some by replay,
-        // some by building through a row the churn left stale.
-        assert_eq!(a.query_stats.planner_engine, a.queries_executed);
-        assert!(a.query_stats.index_rows_used > 0, "some queries replayed");
-        assert!(
-            a.query_stats.index_rows_stale > 0,
-            "some queries built through"
-        );
+        // 3 sources × 3 versions execute; the other 15 visits hit.
+        assert_eq!(a.cache_hits, Some(15));
     }
 
     #[test]

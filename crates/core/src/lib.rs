@@ -117,33 +117,23 @@
 //! fused|legacy`) to A/B the tiers on identical seeds and compare
 //! `edges_expanded`/`total_work`.
 //!
-//! ## The second engine: the contribution index
+//! ## One run answers every query kind
 //!
-//! The paper's engine is index-free; [`index`] adds the opposite
-//! trade-off as a **second engine** behind the same query surface.
-//! [`IndexEngine`] caches one truncated reverse-PPR contribution row
-//! per source — the row is exactly the sparse single-source result, so
-//! the first query on a source *is* the build (a normal probe run) and
-//! later queries on it replay in `O(row)` with zero probe work.
-//! Because the per-query RNG is keyed by `(seed, node)` only, a replay
-//! is **bit-equal** to a fresh run for all three query kinds; an
-//! optional `εi` truncation trades at most `εi` of additive error for
-//! smaller rows.
-//!
-//! Rows carry the store version they were built at and replay only for
-//! queries at *exactly* that version — under a live update stream
-//! (wired via `GraphStore`'s mutation observer and drained lazily by
-//! [`IndexEngine::repair_next`]) staleness costs a rebuild, never
-//! correctness. [`plan`] is the adaptive per-query planner the service
-//! tier uses under [`EngineChoice::Auto`]: replay fresh rows always,
-//! build through only when access skew, `k`, `εp` and the deadline say
-//! the row will pay for itself.
+//! The per-query RNG is keyed by `(seed, query node)` only, and every
+//! query kind computes the same sparse single-source estimates: a
+//! `TopK` or `Threshold` query is a `SingleSource` run plus a view over
+//! its [`SparseScores`] ([`QueryOutput::ranking`]). The answer for a
+//! source is therefore a pure function of `(edge set, config, seed,
+//! source)`, which is what lets the serving tier cache one run per
+//! `(store version, source)` and answer all three kinds from it,
+//! bit-identical to a fresh execution. ProbeSim itself stays
+//! index-free: nothing is precomputed, and nothing survives a graph
+//! update except results pinned to an older version.
 
 pub mod accum;
 pub mod budget;
 pub mod config;
 pub mod frontier;
-pub mod index;
 pub mod par;
 pub mod probe;
 pub mod result;
@@ -157,10 +147,6 @@ pub mod workspace;
 pub use accum::ScoreSink;
 pub use budget::{BudgetExceeded, ProbeBudget};
 pub use config::{ErrorBudget, Optimizations, ProbeSimConfig, ProbeStrategy};
-pub use index::{
-    plan, EngineChoice, EngineKind, EnginePlan, IndexEngine, ParseEngineChoiceError, PlanReason,
-    PlannerInputs,
-};
 pub use result::{QueryStats, SingleSourceResult};
 pub use session::{BatchOutput, Query, QueryError, QueryOutput, QuerySession, SparseScores};
 pub use single_source::ProbeSim;

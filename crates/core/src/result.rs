@@ -31,26 +31,12 @@ pub struct QueryStats {
     /// Level-synchronous sweeps executed by the fused probe engine
     /// (0 off the fused path).
     pub levels_expanded: usize,
-    /// Contribution-index entries replayed from a fresh row — the true
-    /// cost of an index-engine replay (an `O(row)` reconstruction), and
-    /// the only work a replay does (0 off the index engine).
-    pub index_rows_used: usize,
-    /// Queries the index engine could not serve from a fresh row (the
-    /// row was absent, stale, or built on a different node count) and
-    /// answered with an on-the-fly probe run instead — the build-through
-    /// that doubles as the row rebuild (0 off the index engine).
-    pub index_rows_stale: usize,
-    /// 1 when the index engine produced this answer (replay or
-    /// build-through), 0 for the index-free engine. Merged over a run it
-    /// counts index-engine-answered queries — the per-engine tally the
-    /// planner fingerprint and `serve-bench` report.
-    pub planner_engine: usize,
 }
 
 impl QueryStats {
     /// Counter names, in declaration order — the schema of
     /// [`QueryStats::field_values`] and the key order serializers emit.
-    pub const FIELD_NAMES: [&'static str; 14] = [
+    pub const FIELD_NAMES: [&'static str; 11] = [
         "walks",
         "truncated_walks",
         "walk_nodes",
@@ -62,13 +48,10 @@ impl QueryStats {
         "trie_prefixes",
         "frontier_merges",
         "levels_expanded",
-        "index_rows_used",
-        "index_rows_stale",
-        "planner_engine",
     ];
 
     /// Counter values in [`QueryStats::FIELD_NAMES`] order.
-    pub fn field_values(&self) -> [usize; 14] {
+    pub fn field_values(&self) -> [usize; 11] {
         // Exhaustive destructuring: adding a counter to the struct without
         // extending this snapshot is a compile error, not a silent gap.
         let QueryStats {
@@ -83,9 +66,6 @@ impl QueryStats {
             trie_prefixes,
             frontier_merges,
             levels_expanded,
-            index_rows_used,
-            index_rows_stale,
-            planner_engine,
         } = *self;
         [
             walks,
@@ -99,9 +79,6 @@ impl QueryStats {
             trie_prefixes,
             frontier_merges,
             levels_expanded,
-            index_rows_used,
-            index_rows_stale,
-            planner_engine,
         ]
     }
 
@@ -114,12 +91,10 @@ impl QueryStats {
     }
 
     /// Total algorithmic work: walk nodes generated plus edges expanded
-    /// plus nodes sampled, plus index entries replayed (the whole cost
-    /// of an index-engine replay). Deterministic given graph + config +
-    /// seed, which makes it a machine-independent signal for the CI perf
+    /// plus nodes sampled. Deterministic given graph + config + seed, which makes it a machine-independent signal for the CI perf
     /// gate (wall-clock medians vary across runners; this does not).
     pub fn total_work(&self) -> usize {
-        self.walk_nodes + self.edges_expanded + self.nodes_sampled + self.index_rows_used
+        self.walk_nodes + self.edges_expanded + self.nodes_sampled
     }
 
     /// Merges counters from another query (for experiment aggregates).
@@ -140,9 +115,6 @@ impl QueryStats {
             trie_prefixes,
             frontier_merges,
             levels_expanded,
-            index_rows_used,
-            index_rows_stale,
-            planner_engine,
         } = *other;
         self.walks += walks;
         self.truncated_walks += truncated_walks;
@@ -155,9 +127,6 @@ impl QueryStats {
         self.trie_prefixes += trie_prefixes;
         self.frontier_merges += frontier_merges;
         self.levels_expanded += levels_expanded;
-        self.index_rows_used += index_rows_used;
-        self.index_rows_stale += index_rows_stale;
-        self.planner_engine += planner_engine;
     }
 }
 
@@ -215,9 +184,6 @@ mod tests {
             hybrid_switches: 1,
             frontier_merges: 5,
             levels_expanded: 2,
-            index_rows_used: 6,
-            index_rows_stale: 1,
-            planner_engine: 1,
             ..QueryStats::default()
         };
         a.merge(&b);
@@ -227,9 +193,6 @@ mod tests {
         assert_eq!(a.hybrid_switches, 1);
         assert_eq!(a.frontier_merges, 5);
         assert_eq!(a.levels_expanded, 2);
-        assert_eq!(a.index_rows_used, 6);
-        assert_eq!(a.index_rows_stale, 1);
-        assert_eq!(a.planner_engine, 1);
     }
 
     #[test]
@@ -246,19 +209,16 @@ mod tests {
             trie_prefixes: 9,
             frontier_merges: 10,
             levels_expanded: 11,
-            index_rows_used: 12,
-            index_rows_stale: 13,
-            planner_engine: 14,
         };
         let fields: Vec<(&str, usize)> = stats.fields().collect();
         assert_eq!(fields.len(), QueryStats::FIELD_NAMES.len());
-        // Every value 1..=14 appears exactly once: a counter added to the
+        // Every value 1..=11 appears exactly once: a counter added to the
         // struct without extending the snapshot would break this.
         let mut values: Vec<usize> = fields.iter().map(|&(_, v)| v).collect();
         values.sort_unstable();
-        assert_eq!(values, (1..=14).collect::<Vec<_>>());
-        assert_eq!(stats.fields().count(), 14);
-        assert_eq!(stats.total_work(), 3 + 7 + 8 + 12);
+        assert_eq!(values, (1..=11).collect::<Vec<_>>());
+        assert_eq!(stats.fields().count(), 11);
+        assert_eq!(stats.total_work(), 3 + 7 + 8);
     }
 
     #[test]

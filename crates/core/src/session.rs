@@ -233,14 +233,6 @@ pub fn validate<G: GraphView>(graph: &G, query: &Query) -> Result<(), QueryError
     if node as usize >= n {
         return Err(QueryError::NodeOutOfRange { node, num_nodes: n });
     }
-    validate_shape(query)
-}
-
-/// The graph-independent half of [`validate`]: rejects malformed query
-/// parameters (`k = 0`, non-finite or negative thresholds). The index
-/// engine uses it to refuse replaying a cached row for a query the
-/// session would reject.
-pub(crate) fn validate_shape(query: &Query) -> Result<(), QueryError> {
     match *query {
         Query::TopK { k: 0, .. } => Err(QueryError::InvalidK { k: 0 }),
         Query::Threshold { tau, .. } if !tau.is_finite() || tau < 0.0 => {
@@ -284,13 +276,6 @@ impl SparseScores {
             baseline,
             entries,
         }
-    }
-
-    /// The raw accumulated entries (baseline not applied), sorted by
-    /// node id, query node excluded — what the contribution index stores
-    /// so a replayed row reconstructs this exact value bit-for-bit.
-    pub(crate) fn raw_entries(&self) -> &[(NodeId, f64)] {
-        &self.entries
     }
 
     /// The query node `u`.

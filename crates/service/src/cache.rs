@@ -1,15 +1,22 @@
-//! The version-keyed LRU result cache.
+//! The `(version, source)`-keyed LRU result cache.
 //!
 //! ## Why the key is sound
 //!
-//! The cache maps `(snapshot version, query) → Arc<QueryOutput>`. Two
-//! store states with equal versions carry identical edge sets (the
+//! The cache maps `(snapshot version, source node) → Arc<QueryOutput>`.
+//! Two store states with equal versions carry identical edge sets (the
 //! `GraphStore` invariant, proven bit-for-bit by the churn tests), and a
 //! query's execution is a pure function of `(edge set, config, seed,
-//! query)` — the per-query RNG stream is derived, never shared. A cache
-//! hit is therefore **bit-identical to a fresh execution at the pinned
-//! version by construction**, not by comparison; the soundness tests
-//! re-derive hits from scratch and `to_bits`-compare anyway.
+//! source)`: the per-query RNG stream is derived from the source alone,
+//! and every query kind computes the same sparse single-source scores.
+//! `TopK` and `Threshold` are views over those scores
+//! ([`QueryOutput::ranking`]), so one entry answers all three kinds for
+//! its source. A hit is therefore **bit-identical to a fresh execution
+//! of the requested query at the pinned version by construction**, not
+//! by comparison; the soundness tests re-derive hits from scratch and
+//! `to_bits`-compare anyway, cross-kind hits included.
+//!
+//! Queries are validated before the lookup (see the service), so an
+//! invalid shape such as `TopK { k: 0 }` never reaches a shared entry.
 //!
 //! ## Invalidation
 //!
@@ -30,47 +37,13 @@ use std::sync::{Arc, Mutex};
 use probesim_core::{Query, QueryOutput};
 use probesim_graph::{FxHashMap, NodeId};
 
-/// A hashable, exact projection of `(version, Query)`.
-///
-/// `Query` carries an `f64` (the threshold `tau`), so the key stores its
-/// bit pattern: distinct bit patterns get distinct entries, which is the
-/// conservative direction (a `-0.0`/`0.0` miss costs one re-execution,
-/// never a wrong answer). NaN never reaches the cache — validation
-/// rejects it before execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    version: u64,
-    kind: u8,
-    node: NodeId,
-    arg: u64,
-}
-
-impl CacheKey {
-    /// Builds the key for `query` answered at `version`.
-    pub fn new(version: u64, query: &Query) -> CacheKey {
-        let (kind, node, arg) = match *query {
-            Query::SingleSource { node } => (0u8, node, 0u64),
-            Query::TopK { node, k } => (1, node, k as u64),
-            Query::Threshold { node, tau } => (2, node, tau.to_bits()),
-        };
-        CacheKey {
-            version,
-            kind,
-            node,
-            arg,
-        }
-    }
-
-    /// The snapshot version this key pins.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-}
+/// `(snapshot version, source node)`.
+type Key = (u64, NodeId);
 
 const NIL: usize = usize::MAX;
 
 struct Entry {
-    key: CacheKey,
+    key: Key,
     value: Arc<QueryOutput>,
     prev: usize,
     next: usize,
@@ -78,7 +51,7 @@ struct Entry {
 
 #[derive(Default)]
 struct LruInner {
-    map: FxHashMap<CacheKey, usize>,
+    map: FxHashMap<Key, usize>,
     slots: Vec<Option<Entry>>,
     free: Vec<usize>,
     /// Most recently used.
@@ -166,7 +139,7 @@ impl LruInner {
 }
 
 /// A thread-safe LRU cache of query outputs keyed by
-/// `(snapshot version, query)`.
+/// `(snapshot version, source node)`.
 ///
 /// Hit/miss/invalidation counters are lock-free reads; the map + recency
 /// list sit behind one mutex (operations are O(1), the lock is held for
@@ -235,40 +208,52 @@ impl ResultCache {
         self.invalidated.load(Ordering::Relaxed)
     }
 
-    /// Looks `(version, query)` up, refreshing its recency on a hit.
+    /// Answers `query` at `version` from the entry for its source,
+    /// refreshing the entry's recency on a hit.
+    ///
+    /// When the entry was filled by `query` itself, the cached `Arc` is
+    /// returned as is. Otherwise the run's scores and counters are
+    /// rewrapped under `query`, so [`QueryOutput::query`] and
+    /// [`QueryOutput::ranking`] always describe the request.
     pub fn get(&self, version: u64, query: &Query) -> Option<Arc<QueryOutput>> {
-        if self.capacity == 0 {
+        let Some(cached) = self.lookup((version, query.node())) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if cached.query == *query {
+            return Some(cached);
         }
-        let key = CacheKey::new(version, query);
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        match inner.map.get(&key).copied() {
-            Some(i) => {
-                inner.detach(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(
-                    &inner.slots[i]
-                        .as_ref()
-                        .expect("invariant: map hits point at live slots")
-                        .value,
-                ))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        Some(Arc::new(QueryOutput {
+            query: *query,
+            scores: cached.scores.clone(),
+            stats: cached.stats,
+        }))
     }
 
-    /// Inserts (or refreshes) `(version, query) → value`, evicting the
-    /// least-recently-used entry when full.
-    pub fn insert(&self, version: u64, query: &Query, value: Arc<QueryOutput>) {
+    fn lookup(&self, key: Key) -> Option<Arc<QueryOutput>> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let mut inner = self.inner.lock().expect("cache poisoned");
+        let i = inner.map.get(&key).copied()?;
+        inner.detach(i);
+        inner.push_front(i);
+        Some(Arc::clone(
+            &inner.slots[i]
+                .as_ref()
+                .expect("invariant: map hits point at live slots")
+                .value,
+        ))
+    }
+
+    /// Inserts (or refreshes) the entry for `value`'s source at
+    /// `version`, evicting the least-recently-used entry when full.
+    pub fn insert(&self, version: u64, value: Arc<QueryOutput>) {
         if self.capacity == 0 {
             return;
         }
-        let key = CacheKey::new(version, query);
+        let key = (version, value.scores.query());
         let mut inner = self.inner.lock().expect("cache poisoned");
         if let Some(i) = inner.map.get(&key).copied() {
             inner.detach(i);
@@ -284,29 +269,25 @@ impl ResultCache {
             debug_assert_ne!(lru, NIL, "nonzero capacity with a full map has a tail");
             inner.remove_slot(lru);
         }
+        let entry = Entry {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
         let slot = match inner.free.pop() {
             Some(i) => {
-                inner.slots[i] = Some(Entry {
-                    key,
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
+                inner.slots[i] = Some(entry);
                 i
             }
             None => {
-                inner.slots.push(Some(Entry {
-                    key,
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                }));
+                inner.slots.push(Some(entry));
                 inner.slots.len() - 1
             }
         };
         inner.map.insert(key, slot);
         inner.push_front(slot);
-        inner.min_version = inner.min_version.min(key.version);
+        inner.min_version = inner.min_version.min(version);
     }
 
     /// Drops every entry whose version is below `floor` — the
@@ -327,7 +308,7 @@ impl ResultCache {
         let mut stale: Vec<usize> = inner
             .map
             .iter()
-            .filter(|(key, _)| key.version < floor)
+            .filter(|(&(version, _), _)| version < floor)
             .map(|(_, &i)| i)
             .collect();
         // The map iterates in hash order; sort so the free list (and
@@ -340,7 +321,7 @@ impl ResultCache {
         inner.min_version = inner
             .map
             .keys()
-            .map(|key| key.version)
+            .map(|&(version, _)| version)
             .min()
             .unwrap_or(u64::MAX);
         self.invalidated
@@ -355,9 +336,9 @@ mod tests {
     use probesim_core::{ProbeSim, ProbeSimConfig};
     use probesim_graph::toy::{toy_graph, TOY_DECAY};
 
-    /// A real query output whose `scores.query()` identifies it.
-    fn output(node: NodeId) -> Arc<QueryOutput> {
-        let engine = ProbeSim::new(ProbeSimConfig::new(TOY_DECAY, 0.2, 0.1).with_seed(1));
+    /// A real single-source output for `node` under engine seed `seed`.
+    fn run(node: NodeId, seed: u64) -> Arc<QueryOutput> {
+        let engine = ProbeSim::new(ProbeSimConfig::new(TOY_DECAY, 0.2, 0.1).with_seed(seed));
         Arc::new(
             engine
                 .session(&toy_graph())
@@ -366,15 +347,19 @@ mod tests {
         )
     }
 
+    fn output(node: NodeId) -> Arc<QueryOutput> {
+        run(node, 1)
+    }
+
     fn q(node: NodeId) -> Query {
-        Query::SingleSource { node }
+        Query::SingleSource { node: node % 8 }
     }
 
     #[test]
     fn get_insert_roundtrip_and_counters() {
         let cache = ResultCache::new(4);
         assert!(cache.get(1, &q(0)).is_none());
-        cache.insert(1, &q(0), output(0));
+        cache.insert(1, output(0));
         let hit = cache.get(1, &q(0)).expect("hit");
         assert_eq!(hit.scores.query(), 0);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -385,38 +370,46 @@ mod tests {
     #[test]
     fn version_is_part_of_the_key() {
         let cache = ResultCache::new(4);
-        cache.insert(1, &q(0), output(0));
+        cache.insert(1, output(0));
         assert!(cache.get(2, &q(0)).is_none(), "bumped version never hits");
         assert!(cache.get(1, &q(0)).is_some());
     }
 
     #[test]
-    fn query_kinds_and_parameters_key_distinctly() {
+    fn query_kinds_of_one_source_share_one_entry() {
         let cache = ResultCache::new(8);
-        cache.insert(1, &Query::SingleSource { node: 0 }, output(0));
-        assert!(cache.get(1, &Query::TopK { node: 0, k: 0 }).is_none());
-        assert!(cache
-            .get(1, &Query::Threshold { node: 0, tau: 0.0 })
-            .is_none());
-        cache.insert(1, &Query::TopK { node: 0, k: 5 }, output(0));
-        assert!(cache.get(1, &Query::TopK { node: 0, k: 6 }).is_none());
-        cache.insert(1, &Query::Threshold { node: 0, tau: 0.5 }, output(0));
-        assert!(cache
-            .get(1, &Query::Threshold { node: 0, tau: 0.25 })
-            .is_none());
-        assert!(cache
-            .get(1, &Query::Threshold { node: 0, tau: 0.5 })
-            .is_some());
+        let filled = output(0);
+        cache.insert(1, Arc::clone(&filled));
+        // The filling kind gets the cached Arc back untouched.
+        let same = cache.get(1, &q(0)).expect("hit");
+        assert!(Arc::ptr_eq(&same, &filled));
+        // Every other kind and parameter hits the same entry, rewrapped
+        // so the output describes the request.
+        for query in [
+            Query::TopK { node: 0, k: 3 },
+            Query::TopK { node: 0, k: 6 },
+            Query::Threshold { node: 0, tau: 0.0 },
+            Query::Threshold { node: 0, tau: 0.25 },
+        ] {
+            let hit = cache.get(1, &query).expect("cross-kind hit");
+            assert_eq!(hit.query, query);
+            assert_eq!(hit.scores, filled.scores);
+            assert_eq!(hit.stats, filled.stats);
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.hits(), 5);
+        // A different source is a different entry.
+        assert!(cache.get(1, &Query::TopK { node: 1, k: 3 }).is_none());
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = ResultCache::new(2);
-        cache.insert(1, &q(0), output(0));
-        cache.insert(1, &q(1), output(1));
+        cache.insert(1, output(0));
+        cache.insert(1, output(1));
         // Touch 0 so 1 becomes the LRU entry.
         assert!(cache.get(1, &q(0)).is_some());
-        cache.insert(1, &q(2), output(2));
+        cache.insert(1, output(2));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(1, &q(1)).is_none(), "LRU entry evicted");
         assert!(cache.get(1, &q(0)).is_some());
@@ -426,12 +419,13 @@ mod tests {
     #[test]
     fn reinsert_refreshes_value_and_recency() {
         let cache = ResultCache::new(2);
-        cache.insert(1, &q(0), output(0));
-        cache.insert(1, &q(1), output(1));
-        cache.insert(1, &q(0), output(7)); // refresh, not duplicate
+        cache.insert(1, output(0));
+        cache.insert(1, output(1));
+        let refreshed = run(0, 7);
+        cache.insert(1, Arc::clone(&refreshed)); // refresh, not duplicate
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1, &q(0)).unwrap().scores.query(), 7);
-        cache.insert(1, &q(2), output(2));
+        assert!(Arc::ptr_eq(&cache.get(1, &q(0)).unwrap(), &refreshed));
+        cache.insert(1, output(2));
         assert!(cache.get(1, &q(1)).is_none(), "1 was the LRU after refresh");
     }
 
@@ -439,7 +433,7 @@ mod tests {
     fn invalidate_below_drops_old_versions_only() {
         let cache = ResultCache::new(8);
         for version in 1..=4 {
-            cache.insert(version, &q(0), output(0));
+            cache.insert(version, output(0));
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.invalidate_below(3), 2);
@@ -450,8 +444,8 @@ mod tests {
         assert!(cache.get(3, &q(0)).is_some());
         assert!(cache.get(4, &q(0)).is_some());
         // Eviction still consistent after invalidation freed slots.
-        for node in 1..=8 {
-            cache.insert(5, &q(node), output(node));
+        for node in 0..8 {
+            cache.insert(5, output(node));
         }
         assert_eq!(cache.len(), 8);
     }
@@ -459,8 +453,8 @@ mod tests {
     #[test]
     fn invalidate_below_fast_path_tracks_the_version_floor() {
         let cache = ResultCache::new(8);
-        cache.insert(5, &q(0), output(0));
-        cache.insert(7, &q(1), output(1));
+        cache.insert(5, output(0));
+        cache.insert(7, output(1));
         // Floor at or below the minimum resident version: O(1) no-op.
         assert_eq!(cache.invalidate_below(5), 0);
         assert_eq!(cache.len(), 2);
@@ -473,7 +467,7 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidate_below(u64::MAX), 0, "empty cache no-op");
         // Inserting after a full purge restores tracking.
-        cache.insert(9, &q(2), output(2));
+        cache.insert(9, output(2));
         assert_eq!(cache.invalidate_below(9), 0);
         assert_eq!(cache.invalidate_below(10), 1);
     }
@@ -481,7 +475,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = ResultCache::new(0);
-        cache.insert(1, &q(0), output(0));
+        cache.insert(1, output(0));
         assert!(cache.get(1, &q(0)).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidate_below(10), 0);
@@ -493,10 +487,11 @@ mod tests {
         // Deterministic churn across insert/get/invalidate with a tiny
         // capacity: every operation must keep map, list and free-list in
         // agreement (exercised indirectly through len/hit behavior).
+        let outputs: Vec<Arc<QueryOutput>> = (0..7).map(output).collect();
         let cache = ResultCache::new(3);
         for round in 0u64..50 {
             let version = round / 5;
-            cache.insert(version, &q((round % 7) as NodeId), output(0));
+            cache.insert(version, Arc::clone(&outputs[(round % 7) as usize]));
             let _ = cache.get(version, &q((round % 3) as NodeId));
             if round % 11 == 0 {
                 cache.invalidate_below(version);

@@ -14,7 +14,7 @@
 //!    typed errors;
 //! 4. **service** (this crate): [`QueryService`] — worker pool, request
 //!    queue with priorities, per-request deadlines and work caps,
-//!    consistency levels, and a version-keyed result cache.
+//!    consistency levels, and a `(version, source)` result cache.
 //!
 //! ## The lifecycle of a request
 //!
@@ -28,10 +28,13 @@
 //!    `Latest` takes the newest published version, `AtLeastVersion(v)`
 //!    additionally demands the clock reached `v`, `Pinned(v)` resolves
 //!    inside the retention window or fails;
-//! 3. **cache** — `(version, query)` is looked up in the LRU result
-//!    cache; a hit returns immediately (`cache_hit: true`,
-//!    bit-identical to fresh execution at that version by construction,
-//!    zero probe work);
+//! 3. **cache** — the query is validated against the snapshot, then
+//!    `(version, source)` is looked up in the LRU result cache. One
+//!    entry answers every query kind for its source, because all three
+//!    kinds run the same single-source estimate and differ only in the
+//!    view over its scores. A hit returns immediately (`cache_hit:
+//!    true`, bit-identical to fresh execution at that version by
+//!    construction, zero probe work);
 //! 4. **execute** — a miss runs on the worker's pooled session
 //!    (rebound across versions without reallocating scratch) under a
 //!    [`probesim_core::ProbeBudget`] armed with the remaining deadline
@@ -78,21 +81,28 @@
 //! let pinned = service
 //!     .call(Request::new(Query::TopK { node: 0, k: 3 }).with_consistency(Consistency::Pinned(0)))
 //!     .unwrap();
-//! assert!(pinned.cache_hit, "same version + query => served from cache");
+//! assert!(pinned.cache_hit, "same version + source => served from cache");
+//! // Another kind on the same source shares the entry.
+//! let threshold = service
+//!     .call(
+//!         Request::new(Query::Threshold { node: 0, tau: 0.1 })
+//!             .with_consistency(Consistency::Pinned(0)),
+//!     )
+//!     .unwrap();
+//! assert!(threshold.cache_hit);
+//! assert_eq!(threshold.output.scores, pinned.output.scores);
 //! ```
 
 pub mod cache;
 pub mod request;
 pub mod service;
 
-pub use cache::{CacheKey, ResultCache};
+pub use cache::ResultCache;
 pub use request::{
     Consistency, ParseConsistencyError, Priority, Request, Response, ServiceError, Ticket,
 };
 pub use service::{QueryService, ServiceBuilder, ServiceStats};
 
 // Re-exported so service callers need no direct probesim-graph dep for
-// the common writer-path types, nor a probesim-core dep for the engine
-// selection types the request API speaks.
-pub use probesim_core::{EngineChoice, EngineKind};
+// the common writer-path types.
 pub use probesim_graph::{Commit, GraphSnapshot, GraphStore, GraphUpdate};

@@ -4,7 +4,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use probesim_core::{EngineChoice, EngineKind, Query, QueryError, QueryOutput};
+use probesim_core::{Query, QueryError, QueryOutput};
 
 /// Scheduling class of a request. Interactive requests are always
 /// dequeued before batch requests (strict two-level priority, no aging —
@@ -22,7 +22,7 @@ pub enum Priority {
 ///
 /// Snapshot versions count *effective* mutations, and equal versions
 /// carry identical edge sets (the store invariant proven bit-for-bit in
-/// the churn tests) — which is exactly what makes `(version, query)` a
+/// the churn tests) — which is exactly what makes `(version, source)` a
 /// sound result-cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Consistency {
@@ -111,10 +111,6 @@ pub struct Request {
     pub priority: Priority,
     /// Version requirement.
     pub consistency: Consistency,
-    /// Engine override for A/B comparison: `None` defers to the
-    /// service's configured [`EngineChoice`] (the adaptive planner when
-    /// that is `Auto`); `Some(..)` forces this request's plan.
-    pub engine: Option<EngineChoice>,
 }
 
 impl Request {
@@ -127,7 +123,6 @@ impl Request {
             work_cap: None,
             priority: Priority::default(),
             consistency: Consistency::default(),
-            engine: None,
         }
     }
 
@@ -154,13 +149,6 @@ impl Request {
         self.consistency = consistency;
         self
     }
-
-    /// Forces an engine for this request (A/B override of the service's
-    /// configured [`EngineChoice`]).
-    pub fn with_engine(mut self, engine: EngineChoice) -> Request {
-        self.engine = Some(engine);
-        self
-    }
 }
 
 /// A successfully answered request.
@@ -173,18 +161,16 @@ pub struct Response {
     /// the version the cached execution was pinned to, which is equal by
     /// key construction).
     pub version: u64,
-    /// True when the answer came from the version-keyed result cache —
-    /// bit-identical to a fresh execution at `version` by construction,
-    /// with zero probe work spent.
+    /// True when the answer came from the `(version, source)` result
+    /// cache — bit-identical to a fresh execution of this request's query
+    /// at `version` by construction, with zero probe work spent. The
+    /// entry may have been filled by another query kind on the same
+    /// source; `output.query` is always this request's query.
     pub cache_hit: bool,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait: Duration,
     /// Time spent resolving + executing (cache hits: lookup time only).
     pub exec_time: Duration,
-    /// The engine that produced `output` — what the planner resolved an
-    /// `auto` request to. For cache hits: the engine of the cached
-    /// execution (the stored output's counters carry the provenance).
-    pub engine: EngineKind,
 }
 
 /// Why the service could not answer a request.
@@ -285,18 +271,15 @@ mod tests {
             .with_deadline(Duration::from_millis(20))
             .with_work_cap(1_000)
             .with_priority(Priority::Batch)
-            .with_consistency(Consistency::Pinned(7))
-            .with_engine(EngineChoice::Index);
+            .with_consistency(Consistency::Pinned(7));
         assert_eq!(r.deadline, Some(Duration::from_millis(20)));
         assert_eq!(r.work_cap, Some(1_000));
         assert_eq!(r.priority, Priority::Batch);
         assert_eq!(r.consistency, Consistency::Pinned(7));
-        assert_eq!(r.engine, Some(EngineChoice::Index));
         let d = Request::new(Query::SingleSource { node: 0 });
         assert_eq!(d.priority, Priority::Interactive);
         assert_eq!(d.consistency, Consistency::Latest);
         assert_eq!(d.deadline, None);
-        assert_eq!(d.engine, None, "no override: the service's choice rules");
     }
 
     #[test]

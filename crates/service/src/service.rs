@@ -6,11 +6,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use probesim_core::{
-    EngineChoice, EngineKind, EnginePlan, IndexEngine, PlanReason, PlannerInputs, ProbeBudget,
-    ProbeSim, ProbeSimConfig, Query, QueryError, QuerySession, QueryStats,
-};
-use probesim_graph::{Commit, DegreeStats, GraphSnapshot, GraphStore, GraphUpdate, GraphView};
+use probesim_core::{ProbeBudget, ProbeSim, ProbeSimConfig, QueryError, QuerySession, QueryStats};
+use probesim_graph::{Commit, GraphSnapshot, GraphStore, GraphUpdate};
 
 use crate::cache::ResultCache;
 use crate::request::{Consistency, Priority, Request, Response, ServiceError, Ticket};
@@ -36,8 +33,8 @@ use crate::request::{Consistency, Priority, Request, Response, ServiceError, Tic
 ///     .unwrap();
 /// assert_eq!(response.output.ranking()[0].0, D);
 /// assert!(!response.cache_hit);
-/// // The identical query at the same version is served from the cache,
-/// // bit-identical by construction.
+/// // Any query on the same source at the same version is served from
+/// // the cache, bit-identical by construction.
 /// let again = service
 ///     .call(Request::new(Query::TopK { node: A, k: 1 }))
 ///     .unwrap();
@@ -51,8 +48,6 @@ pub struct ServiceBuilder {
     cache_capacity: usize,
     retained_versions: usize,
     default_deadline: Option<Duration>,
-    engine_choice: EngineChoice,
-    index_max_rows: usize,
 }
 
 impl ServiceBuilder {
@@ -66,8 +61,6 @@ impl ServiceBuilder {
             cache_capacity: 1024,
             retained_versions: 8,
             default_deadline: None,
-            engine_choice: EngineChoice::Probesim,
-            index_max_rows: probesim_core::index::DEFAULT_MAX_ROWS,
         }
     }
 
@@ -95,24 +88,6 @@ impl ServiceBuilder {
     /// Deadline applied to requests that do not carry their own.
     pub fn default_deadline(mut self, deadline: Duration) -> ServiceBuilder {
         self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// The service-wide engine policy for requests without a
-    /// [`Request::engine`] override: force the index-free engine (the
-    /// default — behavior-identical to a service without the index
-    /// tier), force the contribution-index engine, or `Auto` for the
-    /// adaptive per-query planner ([`probesim_core::plan`]).
-    pub fn engine_choice(mut self, choice: EngineChoice) -> ServiceBuilder {
-        self.engine_choice = choice;
-        self
-    }
-
-    /// Row-count capacity of the contribution index (oldest row evicted
-    /// first). The index only fills on the index-engine path, so the
-    /// default capacity costs nothing on a pure-ProbeSim service.
-    pub fn index_max_rows(mut self, max_rows: usize) -> ServiceBuilder {
-        self.index_max_rows = max_rows.max(1);
         self
     }
 
@@ -149,39 +124,24 @@ impl ServiceBuilder {
         };
         let retained_versions = self.retained_versions.max(1);
         let cache = Arc::new(ResultCache::new(self.cache_capacity));
-        let index = Arc::new(Mutex::new(
-            IndexEngine::new().with_max_rows(self.index_max_rows),
-        ));
 
         // Writer-side invalidation, wired into GraphStore::mutate: every
         // effective mutation drops cache entries whose version fell out
         // of the retention window. Versions are contiguous under the
         // service's per-event publishing, so the floor is exact; if a
         // caller compacts or batches behind our back it is merely
-        // conservative (over-invalidation is always safe). The same hook
-        // feeds the contribution index's dirty queue: rows built before
-        // the new version are now stale and queued for lazy repair
-        // (replays never trust them either way — the stamp check is the
-        // correctness boundary, the queue is just the repair work-list).
+        // conservative (over-invalidation is always safe).
         store.set_mutation_observer({
             let cache = Arc::clone(&cache);
-            let index = Arc::clone(&index);
             let window = retained_versions as u64;
             move |version| {
                 cache.invalidate_below((version + 1).saturating_sub(window));
-                index.lock().expect("index poisoned").note_update(version);
             }
         });
 
         let first = store.snapshot();
         let shared = Arc::new(Shared {
             engine: ProbeSim::new(self.config),
-            engine_choice: self.engine_choice,
-            // The planner's skew signal, computed once at build: the
-            // store pins the node count, and edge churn moves a Gini
-            // coefficient far too slowly to re-derive per query.
-            skew: DegreeStats::compute(&first).in_degree_gini,
-            index,
             cache,
             default_deadline: self.default_deadline,
             state: Mutex::new(ServeState {
@@ -283,17 +243,6 @@ impl ServeState {
 
 struct Shared {
     engine: ProbeSim,
-    /// The engine policy for requests without a per-request override.
-    engine_choice: EngineChoice,
-    /// In-degree Gini of the graph at build time — the planner's skew
-    /// signal ([`PlannerInputs::skew`]).
-    skew: f64,
-    /// The contribution-index engine. Critical sections stay short —
-    /// replay out / install in / freshness probe — and a build-through's
-    /// probe run happens outside the lock on the worker's own session.
-    /// Shared with the store's mutation observer (`Arc`), which feeds
-    /// `note_update` while the writer holds the store lock.
-    index: Arc<Mutex<IndexEngine>>,
     cache: Arc<ResultCache>,
     default_deadline: Option<Duration>,
     state: Mutex<ServeState>,
@@ -386,17 +335,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The engine provenance stamped into an output's counters —
-/// [`QueryStats::planner_engine`] is 1 exactly when the index engine
-/// produced the answer (replay or build-through).
-fn engine_of(stats: &QueryStats) -> EngineKind {
-    if stats.planner_engine > 0 {
-        EngineKind::Index
-    } else {
-        EngineKind::Probesim
-    }
-}
-
 fn serve(
     shared: &Shared,
     session_slot: &mut Option<QuerySession<GraphSnapshot>>,
@@ -419,78 +357,22 @@ fn serve(
         }
     }
     let snapshot = shared.resolve(job.request.consistency)?;
+    // Validate before the lookup: entries are shared by every query kind
+    // of a source, so an invalid shape (`k = 0`, a negative or NaN `tau`)
+    // on a cached source would otherwise be answered as a hit.
+    probesim_core::session::validate(&snapshot, &job.request.query)?;
     let version = snapshot.version();
     let exec_start = Instant::now();
     if let Some(output) = shared.cache.get(version, &job.request.query) {
-        // Version-keyed hit: bit-identical to fresh execution at this
-        // version by construction, zero probe work spent. The cached
-        // counters carry the provenance of the execution that filled the
-        // entry, so the reported engine is that execution's engine.
-        let engine = engine_of(&output.stats);
+        // `(version, source)` hit: bit-identical to fresh execution at
+        // this version by construction, zero probe work spent.
         return Ok(Response {
             output,
             version,
             cache_hit: true,
             queue_wait,
             exec_time: exec_start.elapsed(),
-            engine,
         });
-    }
-    // The per-query plan: a forced index-free choice (the builder
-    // default) skips the index tier entirely — zero overhead, answers
-    // bit-identical to a service without it.
-    let choice = job.request.engine.unwrap_or(shared.engine_choice);
-    let num_nodes = snapshot.num_nodes();
-    let engine_plan = if choice == EngineChoice::Probesim {
-        EnginePlan {
-            engine: EngineKind::Probesim,
-            reason: PlanReason::Forced,
-        }
-    } else {
-        let row_fresh = shared.index.lock().expect("index poisoned").row_fresh(
-            job.request.query.node(),
-            version,
-            num_nodes,
-        );
-        let inputs = PlannerInputs {
-            skew: shared.skew,
-            k: match job.request.query {
-                Query::TopK { k, .. } => Some(k),
-                _ => None,
-            },
-            epsilon: shared.engine.config().epsilon,
-            deadline: deadline_at.map(|d| d.saturating_duration_since(Instant::now())),
-            row_fresh,
-        };
-        probesim_core::plan(choice, &inputs)
-    };
-    if engine_plan.engine == EngineKind::Index {
-        // Replay under a short lock. A miss here (row absent, stale, or
-        // raced away) falls through to the build-through below — the
-        // stamp check inside `replay` is what guarantees an answer never
-        // comes from a different edge set than `version`.
-        let replayed = shared.index.lock().expect("index poisoned").replay(
-            job.request.query,
-            version,
-            num_nodes,
-        );
-        if let Some(output) = replayed {
-            shared
-                .executed_work
-                .fetch_add(output.stats.total_work() as u64, Ordering::Relaxed);
-            let output = Arc::new(output);
-            shared
-                .cache
-                .insert(version, &job.request.query, Arc::clone(&output));
-            return Ok(Response {
-                output,
-                version,
-                cache_hit: false,
-                queue_wait,
-                exec_time: exec_start.elapsed(),
-                engine: EngineKind::Index,
-            });
-        }
     }
     let mut session = match session_slot.take() {
         Some(session) if session.graph().version() == version => session,
@@ -510,34 +392,18 @@ fn serve(
     // successful one.
     *session_slot = Some(session);
     match outcome {
-        Ok(mut output) => {
-            if engine_plan.engine == EngineKind::Index {
-                // Build-through: the probe run above (outside the index
-                // lock) both answers the query and becomes the new row.
-                // Aborted runs never reach here — partial scores stay
-                // out of the table.
-                output.stats.index_rows_stale = 1;
-                output.stats.planner_engine = 1;
-                shared
-                    .index
-                    .lock()
-                    .expect("index poisoned")
-                    .install_row(version, &output);
-            }
+        Ok(output) => {
             shared
                 .executed_work
                 .fetch_add(output.stats.total_work() as u64, Ordering::Relaxed);
             let output = Arc::new(output);
-            shared
-                .cache
-                .insert(version, &job.request.query, Arc::clone(&output));
+            shared.cache.insert(version, Arc::clone(&output));
             Ok(Response {
                 output,
                 version,
                 cache_hit: false,
                 queue_wait,
                 exec_time: exec_start.elapsed(),
-                engine: engine_plan.engine,
             })
         }
         Err(error) => {
@@ -555,7 +421,7 @@ fn serve(
 }
 
 /// The unified serving facade: owns the [`GraphStore`], the `ProbeSim`
-/// engine, a fixed worker pool and the version-keyed result cache.
+/// engine, a fixed worker pool and the `(version, source)` result cache.
 ///
 /// * **Readers** go through [`QueryService::submit`] (a [`Ticket`]) or
 ///   the blocking [`QueryService::call`]; requests carry deadlines,
@@ -705,76 +571,6 @@ impl QueryService {
     /// The engine configuration requests run with.
     pub fn config(&self) -> ProbeSimConfig {
         self.shared.engine.config().clone()
-    }
-
-    /// The service-wide engine policy ([`ServiceBuilder::engine_choice`]).
-    pub fn engine_choice(&self) -> EngineChoice {
-        self.shared.engine_choice
-    }
-
-    /// The planner's skew signal: the in-degree Gini coefficient of the
-    /// graph the service was built on.
-    pub fn skew(&self) -> f64 {
-        self.shared.skew
-    }
-
-    /// Sources currently queued for lazy index repair (grows on
-    /// effective commits, drains via [`QueryService::repair_index`] or
-    /// when an index-path query rebuilds the row itself).
-    pub fn index_dirty_len(&self) -> usize {
-        self.shared
-            .index
-            .lock()
-            .expect("index poisoned")
-            .dirty_len()
-    }
-
-    /// Rows currently cached by the contribution index.
-    pub fn index_rows(&self) -> usize {
-        self.shared
-            .index
-            .lock()
-            .expect("index poisoned")
-            .table()
-            .rows()
-    }
-
-    /// Drains up to `max` queued stale-row repairs against the newest
-    /// published snapshot, off the query path, returning how many rows
-    /// were rebuilt. The index lock is only held to pop a candidate and
-    /// to install the rebuilt row; the probe run between the two is
-    /// unlocked, so queries are never blocked behind a repair. Queries
-    /// racing a repair are never wrong, only slower: a not-yet-repaired
-    /// row fails its stamp check and the query builds through (which
-    /// itself repairs the row — a racing install at the same version
-    /// writes identical content, so last-wins is harmless).
-    pub fn repair_index(&self, max: usize) -> usize {
-        let snapshot = self.snapshot();
-        let version = snapshot.version();
-        let mut session = self.shared.engine.session(snapshot);
-        let mut repaired = 0;
-        while repaired < max {
-            let candidate = {
-                let mut index = self.shared.index.lock().expect("index poisoned");
-                index.pop_dirty(version)
-            };
-            let Some(source) = candidate else {
-                break;
-            };
-            let rebuilt = session.run_with_budget(
-                Query::SingleSource { node: source },
-                ProbeBudget::unlimited(),
-            );
-            let mut index = self.shared.index.lock().expect("index poisoned");
-            match rebuilt {
-                Ok(output) => {
-                    index.install_row(version, &output);
-                    repaired += 1;
-                }
-                Err(_) => index.discard_row(source),
-            }
-        }
-        repaired
     }
 
     /// Worker-thread count.
@@ -1074,113 +870,56 @@ mod tests {
     }
 
     #[test]
-    fn forced_index_engine_builds_through_then_replays() {
-        // Cache disabled so the engine paths themselves are observable.
-        let service = toy_service(0);
-        let request =
-            Request::new(Query::SingleSource { node: A }).with_engine(EngineChoice::Index);
-        let engine = ProbeSim::new(ProbeSimConfig::new(TOY_DECAY, 0.05, 0.01).with_seed(0xBEEF));
-        let direct = engine
-            .session(&toy_graph())
-            .run(Query::SingleSource { node: A })
-            .unwrap();
-        // First call: no row yet — the probe run answers and becomes the row.
-        let built = service.call(request).unwrap();
-        assert_eq!(built.engine, EngineKind::Index);
-        assert_eq!(built.output.stats.index_rows_stale, 1);
-        assert!(built.output.stats.walks > 0);
-        assert_eq!(built.output.scores, direct.scores);
-        assert_eq!(service.index_rows(), 1);
-        // Second call: replayed from the row, zero probe work, bit-equal.
-        let replayed = service.call(request).unwrap();
-        assert!(!replayed.cache_hit);
-        assert_eq!(replayed.engine, EngineKind::Index);
-        assert_eq!(replayed.output.stats.walks, 0);
-        assert!(replayed.output.stats.index_rows_used > 0);
-        assert_eq!(replayed.output.scores, direct.scores);
-        // One row answers every query kind for its source.
-        let topk = service
-            .call(Request::new(Query::TopK { node: A, k: 2 }).with_engine(EngineChoice::Index))
-            .unwrap();
-        assert_eq!(topk.output.stats.walks, 0, "same row, different kind");
-        assert_eq!(topk.output.ranking(), direct.ranking()[..2].to_vec());
-    }
-
-    #[test]
-    fn auto_replays_fresh_rows_and_never_trusts_stale_ones() {
-        let service = toy_service(0);
-        assert_eq!(service.engine_choice(), EngineChoice::Probesim);
-        let request = Request::new(Query::SingleSource { node: A });
-        let plain = service.call(request).unwrap();
-        assert_eq!(plain.engine, EngineKind::Probesim);
-        assert_eq!(plain.output.stats.planner_engine, 0);
-        // Build a row, then `auto` replays it: FreshRow beats any skew.
-        let built = service
-            .call(request.with_engine(EngineChoice::Index))
-            .unwrap();
-        let auto = service
-            .call(request.with_engine(EngineChoice::Auto))
-            .unwrap();
-        assert_eq!(auto.engine, EngineKind::Index);
-        assert!(auto.output.stats.index_rows_used > 0);
-        assert_eq!(auto.output.scores, built.output.scores);
-        assert_eq!(auto.output.scores, plain.output.scores);
-        // An effective commit stales the row; a Latest query must not
-        // replay it — the rebuild happens in-line and answers correctly.
-        assert!(service
-            .commit(GraphUpdate::Remove { u: 1, v: A })
-            .was_effective());
-        assert_eq!(service.index_dirty_len(), 1);
-        let after = service
-            .call(request.with_engine(EngineChoice::Index))
-            .unwrap();
-        assert_eq!(after.version, 1);
-        assert_eq!(after.output.stats.index_rows_stale, 1);
-        assert_ne!(after.output.scores, plain.output.scores);
-        // The query-path rebuild already repaired the only dirty row.
-        assert_eq!(service.repair_index(8), 0);
-        assert_eq!(service.index_dirty_len(), 0);
-    }
-
-    #[test]
-    fn repair_index_rebuilds_stale_rows_off_the_query_path() {
-        let service = toy_service(0);
-        for node in [A, 1] {
-            service
-                .call(Request::new(Query::SingleSource { node }).with_engine(EngineChoice::Index))
-                .unwrap();
-        }
-        assert!(service
-            .commit(GraphUpdate::Insert { u: 0, v: 5 })
-            .was_effective());
-        assert_eq!(service.index_dirty_len(), 2);
-        assert_eq!(service.repair_index(8), 2);
-        assert_eq!(service.index_dirty_len(), 0);
-        // Repaired rows replay at the new version without a build-through.
-        let r = service
-            .call(Request::new(Query::SingleSource { node: A }).with_engine(EngineChoice::Index))
-            .unwrap();
-        assert_eq!(r.version, 1);
-        assert_eq!(r.output.stats.index_rows_stale, 0);
-        assert!(r.output.stats.index_rows_used > 0);
-    }
-
-    #[test]
-    fn cache_hits_report_the_engine_that_filled_the_entry() {
+    fn invalid_queries_never_hit_a_cached_source() {
         let service = toy_service(16);
-        let indexed =
-            Request::new(Query::SingleSource { node: A }).with_engine(EngineChoice::Index);
-        let first = service.call(indexed).unwrap();
-        assert_eq!(first.engine, EngineKind::Index);
-        let hit = service.call(indexed).unwrap();
+        service
+            .call(Request::new(Query::SingleSource { node: A }))
+            .unwrap();
+        let hits = service.stats().cache_hits;
+        let err = service
+            .call(Request::new(Query::TopK { node: A, k: 0 }))
+            .unwrap_err();
+        assert_eq!(err, ServiceError::Query(QueryError::InvalidK { k: 0 }));
+        let err = service
+            .call(Request::new(Query::Threshold { node: A, tau: -1.0 }))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServiceError::Query(QueryError::InvalidThreshold { tau: -1.0 })
+        );
+        let err = service
+            .call(Request::new(Query::Threshold {
+                node: A,
+                tau: f64::NAN,
+            }))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::Query(QueryError::InvalidThreshold { tau }) if tau.is_nan()
+        ));
+        assert_eq!(service.stats().cache_hits, hits, "no invalid query hit");
+    }
+
+    #[test]
+    fn cross_kind_hits_describe_the_request() {
+        let service = toy_service(16);
+        let filled = service
+            .call(Request::new(Query::SingleSource { node: A }))
+            .unwrap();
+        let query = Query::TopK { node: A, k: 3 };
+        let hit = service.call(Request::new(query)).unwrap();
         assert!(hit.cache_hit);
-        assert_eq!(hit.engine, EngineKind::Index);
-        // A different source filled by the index-free engine reports it.
-        let plain = Request::new(Query::SingleSource { node: 1 });
-        assert_eq!(service.call(plain).unwrap().engine, EngineKind::Probesim);
-        let hit = service.call(plain).unwrap();
-        assert!(hit.cache_hit);
-        assert_eq!(hit.engine, EngineKind::Probesim);
+        assert_eq!(hit.output.query, query);
+        assert_eq!(hit.output.ranking().len(), 3);
+        let engine = ProbeSim::new(ProbeSimConfig::new(TOY_DECAY, 0.05, 0.01).with_seed(0xBEEF));
+        let direct = engine.session(&toy_graph()).run(query).unwrap();
+        assert_eq!(hit.output.ranking(), direct.ranking());
+        assert_eq!(*hit.output, direct);
+        // The entry itself is untouched: its filler still gets its Arc.
+        let again = service
+            .call(Request::new(Query::SingleSource { node: A }))
+            .unwrap();
+        assert!(Arc::ptr_eq(&again.output, &filled.output));
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! probesim stats      <graph-file>
 //! probesim query      <graph-file> --node N [--top K | --tau T] [--eps E] [--delta D]
 //!                     [--decay C] [--seed S] [--probe-path fused|legacy]
-//!                     [--engine probesim|index|auto] [--store] [--output text|json]
+//!                     [--store] [--output text|json]
 //! probesim batch      <graph-file> --nodes A,B,C [--top K] [--threads T] [--store]
-//!                     [--engine probesim|index|auto] [--readers N] [--output text|json]
+//!                     [--readers N] [--output text|json]
 //! probesim serve-bench <graph-file> [--queries N] [--distinct D] [--workers W]
 //!                     [--deadline-ms MS] [--work-cap W] [--cache-capacity C]
 //!                     [--consistency latest|pinned|at-least] [--update-every K]
-//!                     [--engine probesim|index|auto] [--replicas R] [--eps E] [--seed S]
+//!                     [--replicas R] [--eps E] [--seed S]
 //! probesim pair       <graph-file> --u A --v B [--walks R] [--decay C]
 //! ```
 //!
@@ -21,7 +21,8 @@
 //! decide.
 //!
 //! Queries run through `probesim_core::QuerySession`; invalid input is
-//! reported as a typed [`QueryError`] message, never a panic. With
+//! reported as a typed [`QueryError`] message, never a panic, and a flag
+//! the subcommand does not accept is a usage error. With
 //! `--output json`, results are serialized as one JSON object per query
 //! (sparse scores + stats) for downstream tooling.
 //!
@@ -33,17 +34,9 @@
 //! threads, each holding its own snapshot clone
 //! (`ProbeSim::par_batch_owned`).
 //!
-//! `--engine` selects the answering engine through the shared
-//! [`EngineChoice`] wire form: `probesim` (index-free, the paper's
-//! engine), `index` (the precomputed PPR-contribution table,
-//! [`IndexEngine`]), or `auto` (in `serve-bench`, the service's adaptive
-//! per-query planner). Answers are bit-identical across engines — the
-//! per-query RNG is keyed by `(seed, node)` only — and the stats JSON
-//! shows the `index_rows_used` / `index_rows_stale` replay split.
-//!
 //! `serve-bench` drives the full serving facade
 //! (`probesim_service::QueryService`): a Zipf-repeated query stream with
-//! deadlines, a consistency level and the version-keyed result cache,
+//! deadlines, a consistency level and the `(version, source)` result cache,
 //! printing the queue/exec/cache breakdown as one JSON object. With
 //! `--replicas R` the same stream runs through the replicated fleet
 //! (`probesim_fleet::Fleet`) instead — commits go through the durable
@@ -77,22 +70,15 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   probesim generate <dataset> [--scale ci|laptop] [--out FILE]
   probesim stats    <graph-file>
-  probesim query    <graph-file> --node N [--top K | --tau T] [--eps E] [--delta D] [--decay C] [--seed S] [--probe-path fused|legacy] [--engine probesim|index|auto] [--store] [--output text|json]
-  probesim batch    <graph-file> --nodes A,B,C [--top K] [--threads T] [--eps E] [--seed S] [--probe-path fused|legacy] [--engine probesim|index|auto] [--store] [--readers N] [--output text|json]
-  probesim serve-bench <graph-file> [--queries N] [--distinct D] [--workers W] [--deadline-ms MS] [--work-cap W] [--cache-capacity C] [--consistency latest|pinned[:V]|at-least[:V]] [--engine probesim|index|auto] [--update-every K] [--replicas R] [--eps E] [--seed S]
+  probesim query    <graph-file> --node N [--top K | --tau T] [--eps E] [--delta D] [--decay C] [--seed S] [--probe-path fused|legacy] [--store] [--output text|json]
+  probesim batch    <graph-file> --nodes A,B,C [--top K] [--threads T] [--eps E] [--seed S] [--probe-path fused|legacy] [--store] [--readers N] [--output text|json]
+  probesim serve-bench <graph-file> [--queries N] [--distinct D] [--workers W] [--deadline-ms MS] [--work-cap W] [--cache-capacity C] [--consistency latest|pinned[:V]|at-least[:V]] [--update-every K] [--replicas R] [--eps E] [--seed S]
   probesim pair     <graph-file> --u A --v B [--walks R] [--decay C] [--seed S]
 
   --store      route the graph through the versioned GraphStore and query an
                owned snapshot (identical answers; the serving configuration)
   --readers N  with --store: shard the batch over N snapshot-holding reader
                threads (default: --threads)
-  --engine X   probesim (default, the index-free paper engine) | index (the
-               PPR-contribution table) | auto (the per-query planner; in
-               serve-bench the JSON reports which engine answered). Answers
-               are bit-identical across engines. For query, index is always
-               a cold build-through; in batch one table serves the whole
-               node list sequentially, so repeated nodes replay their row
-               (--threads/--readers apply to the probesim engine only)
 
 serve-bench (drives the QueryService facade, prints one JSON object):
   --queries N          stream length (default 64)
@@ -114,22 +100,66 @@ serve-bench (drives the QueryService facade, prints one JSON object):
 
 datasets: Wiki-Vote HepTh AS HepPh LiveJournal IT-2004 Twitter Friendster";
 
+/// The flags [`engine_from_flags`] reads.
+const ENGINE_FLAGS: [&str; 5] = ["--eps", "--delta", "--decay", "--seed", "--probe-path"];
+
+type Handler = fn(&[String]) -> Result<(), String>;
+
 fn run(args: &[String]) -> Result<(), String> {
     let command = args.first().ok_or("missing command")?;
     let rest = &args[1..];
-    match command.as_str() {
-        "generate" => generate(rest),
-        "stats" => stats(rest),
-        "query" => query(rest),
-        "batch" => batch(rest),
-        "serve-bench" => serve_bench(rest),
-        "pair" => pair(rest),
+    // (handler, its own flags, whether it also reads ENGINE_FLAGS)
+    let (handler, flags, engine_flags): (Handler, &[&str], bool) = match command.as_str() {
+        "generate" => (generate, &["--scale", "--out"], false),
+        "stats" => (stats, &[], false),
+        "query" => (
+            query,
+            &["--node", "--top", "--tau", "--store", "--output"],
+            true,
+        ),
+        "batch" => (
+            batch,
+            &[
+                "--nodes",
+                "--top",
+                "--threads",
+                "--store",
+                "--readers",
+                "--output",
+            ],
+            true,
+        ),
+        "serve-bench" => (
+            serve_bench,
+            &[
+                "--queries",
+                "--distinct",
+                "--workers",
+                "--deadline-ms",
+                "--work-cap",
+                "--cache-capacity",
+                "--consistency",
+                "--update-every",
+                "--replicas",
+            ],
+            true,
+        ),
+        "pair" => (pair, &["--u", "--v", "--walks", "--decay", "--seed"], false),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    // A misspelt or retired flag is a usage error, never silently ignored.
+    if let Some(unknown) = rest.iter().find(|arg| {
+        arg.starts_with("--")
+            && !flags.contains(&arg.as_str())
+            && !(engine_flags && ENGINE_FLAGS.contains(&arg.as_str()))
+    }) {
+        return Err(format!("{command}: unknown flag {unknown:?}"));
     }
+    handler(rest)
 }
 
 /// Fetches the value after a `--flag`, parsed, or the default.
@@ -264,17 +294,6 @@ fn engine_from_flags(args: &[String]) -> Result<ProbeSim, String> {
     Ok(ProbeSim::new(config))
 }
 
-/// Parses `--engine probesim|index|auto` through the shared
-/// [`EngineChoice`] wire form — the same `FromStr` the service request
-/// path and the fleet config use. Default: `probesim` (the index-free
-/// paper engine).
-fn engine_choice_from_flags(args: &[String]) -> Result<EngineChoice, String> {
-    flag_str(args, "--engine")
-        .unwrap_or("probesim")
-        .parse()
-        .map_err(|e: probesim::core::ParseEngineChoiceError| format!("--engine: {e}"))
-}
-
 fn query(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("query: missing graph file")?;
     let graph = load_graph(path)?;
@@ -284,7 +303,6 @@ fn query(args: &[String]) -> Result<(), String> {
     }
     let format = output_format(args)?;
     let engine = engine_from_flags(args)?;
-    let engine_choice = engine_choice_from_flags(args)?;
     // --tau selects a threshold query; --top (default 10) a top-k query.
     let query = match flag_str(args, "--tau") {
         Some(raw) => {
@@ -299,23 +317,13 @@ fn query(args: &[String]) -> Result<(), String> {
         },
     };
     // Session construction (O(n) scratch) stays outside the timed region
-    // so the reported time measures the query alone, on both paths. With
-    // --engine index|auto the run goes through a fresh contribution
-    // table: a one-shot query is always a build-through, so the reported
-    // cost is the honest cold-index cost (replays show up in `batch`,
-    // where one table serves the whole node list).
+    // so the reported time measures the query alone, on both paths.
     fn timed_run<G: GraphView + Sync>(
         mut session: QuerySession<G>,
         query: Query,
-        choice: EngineChoice,
     ) -> (Result<QueryOutput, QueryError>, f64) {
         let start = std::time::Instant::now();
-        let output = match choice {
-            EngineChoice::Probesim => session.run(query),
-            EngineChoice::Index | EngineChoice::Auto => {
-                IndexEngine::new().run(&mut session, 0, query, ProbeBudget::unlimited())
-            }
-        };
+        let output = session.run(query);
         (output, start.elapsed().as_secs_f64())
     }
     // Invalid input (out-of-range node, k = 0, bad tau) surfaces here as a
@@ -323,9 +331,9 @@ fn query(args: &[String]) -> Result<(), String> {
     // a version-pinned snapshot (same answers, serving configuration).
     let (result, elapsed) = if has_flag(args, "--store") {
         let store = probesim_graph::GraphStore::from_csr(graph);
-        timed_run(engine.session(store.snapshot()), query, engine_choice)
+        timed_run(engine.session(store.snapshot()), query)
     } else {
-        timed_run(engine.session(&graph), query, engine_choice)
+        timed_run(engine.session(&graph), query)
     };
     let output = result.map_err(|e| e.to_string())?;
     match format {
@@ -366,7 +374,6 @@ fn batch(args: &[String]) -> Result<(), String> {
     let threads: usize = flag(args, "--threads", 0)?;
     let format = output_format(args)?;
     let engine = engine_from_flags(args)?;
-    let engine_choice = engine_choice_from_flags(args)?;
     let queries: Vec<Query> = nodes_raw
         .split(',')
         .map(|tok| {
@@ -379,47 +386,16 @@ fn batch(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--readers") && !has_flag(args, "--store") {
         return Err("batch: --readers only applies with --store (use --threads otherwise)".into());
     }
-    // With --engine index|auto, one contribution table serves the whole
-    // node list sequentially: the first visit to a source builds its
-    // row, every repeat replays it (the stats JSON shows the split as
-    // index_rows_stale vs index_rows_used). Answers are bit-identical
-    // to the probesim path — the RNG is keyed by (seed, node) only.
-    fn index_batch<G: GraphView + Sync>(
-        mut session: QuerySession<G>,
-        queries: &[Query],
-    ) -> Result<BatchOutput, QueryError> {
-        let mut index = IndexEngine::new();
-        let mut outputs = Vec::with_capacity(queries.len());
-        let mut stats = QueryStats::default();
-        for &query in queries {
-            let output = index.run(&mut session, 0, query, ProbeBudget::unlimited())?;
-            stats.merge(&output.stats);
-            outputs.push(output);
-        }
-        Ok(BatchOutput { outputs, stats })
-    }
     let start = std::time::Instant::now();
-    let batch = match engine_choice {
-        EngineChoice::Probesim => {
-            if has_flag(args, "--store") {
-                // Snapshot-per-thread: each reader owns an Arc-cheap clone of
-                // one published version; answers are bit-identical to the
-                // shared-borrow path.
-                let readers: usize = flag(args, "--readers", threads)?;
-                let store = probesim_graph::GraphStore::from_csr(graph);
-                engine.par_batch_owned(&store.snapshot(), &queries, readers)
-            } else {
-                engine.par_batch(&graph, &queries, threads)
-            }
-        }
-        EngineChoice::Index | EngineChoice::Auto => {
-            if has_flag(args, "--store") {
-                let store = probesim_graph::GraphStore::from_csr(graph);
-                index_batch(engine.session(store.snapshot()), &queries)
-            } else {
-                index_batch(engine.session(&graph), &queries)
-            }
-        }
+    let batch = if has_flag(args, "--store") {
+        // Snapshot-per-thread: each reader owns an Arc-cheap clone of one
+        // published version; answers are bit-identical to the
+        // shared-borrow path.
+        let readers: usize = flag(args, "--readers", threads)?;
+        let store = probesim_graph::GraphStore::from_csr(graph);
+        engine.par_batch_owned(&store.snapshot(), &queries, readers)
+    } else {
+        engine.par_batch(&graph, &queries, threads)
     }
     .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed().as_secs_f64();
@@ -552,7 +528,6 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
         .transpose()?;
     let consistency_name = flag_str(args, "--consistency").unwrap_or("latest");
     let engine = engine_from_flags(args)?;
-    let engine_choice = engine_choice_from_flags(args)?;
     let n = graph.num_nodes();
     if n == 0 {
         return Err("serve-bench: graph has no nodes".into());
@@ -594,8 +569,6 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
     let mut hits = 0u64;
     let mut errors = 0u64;
     let mut read_your_writes = 0u64;
-    let mut answered_by_probesim = 0u64;
-    let mut answered_by_index = 0u64;
     let mut last_commit: Option<u64> = None;
     let wall = std::time::Instant::now();
     for i in 0..queries {
@@ -628,8 +601,7 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
         let mut request = Request::new(Query::SingleSource {
             node: query_nodes[rank],
         })
-        .with_consistency(consistency)
-        .with_engine(engine_choice);
+        .with_consistency(consistency);
         if let Some(cap) = work_cap {
             request = request.with_work_cap(cap);
         }
@@ -639,13 +611,6 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
                 exec_secs.push(response.exec_time.as_secs_f64());
                 if response.cache_hit {
                     hits += 1;
-                }
-                // Provenance tally: which engine actually answered —
-                // under `auto` the planner decides per query, so the
-                // split is the planner's observable behavior.
-                match response.engine {
-                    EngineKind::Probesim => answered_by_probesim += 1,
-                    EngineKind::Index => answered_by_index += 1,
                 }
             }
             Err(_) => errors += 1,
@@ -696,8 +661,6 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
     println!(
         "{{\"queries\": {queries}, \"distinct\": {}, \"workers\": {}, \
          \"consistency\": \"{consistency_name}\", \"deadline_ms\": {}, \"work_cap\": {}, \
-         \"engine\": {{\"requested\": \"{engine_choice}\", \"answered_by\": \
-         {{\"probesim\": {answered_by_probesim}, \"index\": {answered_by_index}}}}}, \
          \"version\": {}, \"applied_version\": {}, \"queue_depth\": {}, \
          \"read_your_writes\": {read_your_writes}, \"elapsed_secs\": {}, \
          \"cache\": {{\"capacity\": {cache_capacity}, \"hits\": {hits}, \
@@ -815,5 +778,37 @@ fn json_f64(x: f64) -> String {
         formatted
     } else {
         "null".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_for_every_subcommand() {
+        // The flag check runs before any file is read, so a missing graph
+        // file cannot mask it.
+        for command in ["generate", "stats", "query", "batch", "serve-bench", "pair"] {
+            let err = run(&args(&[command, "missing.psim", "--bogus", "1"])).unwrap_err();
+            assert_eq!(err, format!("{command}: unknown flag \"--bogus\""));
+        }
+        // Engine flags belong to the commands that build a ProbeSim engine.
+        let err = run(&args(&["stats", "missing.psim", "--eps", "0.1"])).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
+        let err = run(&args(&[
+            "query",
+            "missing.psim",
+            "--node",
+            "1",
+            "--eps",
+            "0.1",
+        ]))
+        .unwrap_err();
+        assert!(err.starts_with("cannot read"), "{err}");
     }
 }

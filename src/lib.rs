@@ -16,7 +16,7 @@
 //!   ([`probesim_baselines`])
 //! * [`eval`] — metrics, ground truth, pooling ([`probesim_eval`])
 //! * [`service`] — the serving facade: `QueryService` with deadlines,
-//!   consistency levels and a version-keyed result cache
+//!   consistency levels and a `(version, source)` result cache
 //!   ([`probesim_service`])
 //! * [`fleet`] — the replicated serving fleet: a durable update log,
 //!   log-tailing replicas and a consistency-aware router behind one
@@ -89,9 +89,8 @@ pub mod prelude {
         MonteCarlo, PowerMethod, TopSim, TopSimConfig, TopSimVariant, Tsf, TsfConfig,
     };
     pub use probesim_core::{
-        BatchOutput, EngineChoice, EngineKind, IndexEngine, Optimizations, ProbeBudget, ProbeSim,
-        ProbeSimConfig, ProbeStrategy, Query, QueryError, QueryOutput, QuerySession, QueryStats,
-        SingleSourceResult, SparseScores,
+        BatchOutput, Optimizations, ProbeBudget, ProbeSim, ProbeSimConfig, ProbeStrategy, Query,
+        QueryError, QueryOutput, QuerySession, QueryStats, SingleSourceResult, SparseScores,
     };
     pub use probesim_datasets::{Dataset, Scale};
     pub use probesim_eval::{GroundTruth, Pool, SimRankAlgorithm};

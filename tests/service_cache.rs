@@ -1,9 +1,10 @@
 //! Cache-soundness tests for the `QueryService` result cache.
 //!
 //! The contract: after any update/query interleaving, **every cache hit
-//! equals a scratch re-execution at the same pinned version**
-//! (`to_bits`-compared), and every mutation bumps the version so
-//! `Latest` can never be served a stale entry.
+//! equals a scratch re-execution of the requested query at the same
+//! pinned version** (`to_bits`-compared), including hits on an entry
+//! another query kind filled for the same source, and every mutation
+//! bumps the version so `Latest` can never be served a stale entry.
 
 use probesim::prelude::*;
 use probesim_core::ProbeSim;
@@ -19,7 +20,9 @@ fn service_config(seed: u64) -> ProbeSimConfig {
 }
 
 /// Bit-exact comparison of a served output against a scratch execution
-/// of `query` on `oracle` (the edge set of the served version).
+/// of `query` on `oracle` (the edge set of the served version): the
+/// output must describe `query`, and its scores, counters and ranking
+/// must match bit for bit.
 fn assert_bit_identical_to_scratch(
     engine: &ProbeSim,
     oracle: &CsrGraph,
@@ -46,15 +49,26 @@ fn assert_bit_identical_to_scratch(
         );
     }
     prop_assert_eq!(served.stats, scratch.stats, "{}", context);
+    prop_assert_eq!(served.query, query, "{}", context);
+    let bits = |ranking: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+        ranking.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+    };
+    prop_assert_eq!(
+        bits(served.ranking()),
+        bits(scratch.ranking()),
+        "{}: ranking",
+        context
+    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random update/query interleavings: every response — cache hit or
-    /// fresh — equals a scratch re-execution at its reported version,
-    /// and `Latest` always answers at the current store version.
+    /// Random update/query interleavings over all three query kinds:
+    /// every response — fresh, same-kind hit or cross-kind hit — equals
+    /// a scratch re-execution at its reported version, and `Latest`
+    /// always answers at the current store version.
     #[test]
     fn cache_hits_equal_scratch_reexecution_at_the_pinned_version(
         seed in any::<u64>(),
@@ -78,6 +92,7 @@ proptest! {
         let mut versions: Vec<(u64, CsrGraph)> = vec![(0, oracle.snapshot())];
 
         let mut hits_checked = 0u64;
+        let mut kind = 0usize;
         for round in 0..rounds {
             // A few random updates (some no-ops on purpose).
             for _ in 0..rng.gen_range(0..3) {
@@ -100,7 +115,20 @@ proptest! {
             // A few queries: repeats (cache pressure) + mixed consistency.
             for _ in 0..rng.gen_range(1..4usize) {
                 let node = rng.gen_range(0..n) as NodeId;
-                let query = Query::SingleSource { node };
+                // Rotate the kinds so one source's entry is filled by one
+                // kind and hit by the others.
+                kind += 1;
+                let query = match kind % 3 {
+                    0 => Query::SingleSource { node },
+                    1 => Query::TopK {
+                        node,
+                        k: rng.gen_range(1..=n),
+                    },
+                    _ => Query::Threshold {
+                        node,
+                        tau: rng.gen_range(0.0..0.3),
+                    },
+                };
                 let (request, expected_version) = if rng.gen::<f64>() < 0.3 {
                     // Pin a random retained version.
                     let newest = service.version();
@@ -128,7 +156,7 @@ proptest! {
                     hits_checked += 1;
                 }
                 let context = format!(
-                    "round {round} node {node} version {} hit {}",
+                    "round {round} {query:?} version {} hit {}",
                     response.version, response.cache_hit
                 );
                 assert_bit_identical_to_scratch(
