@@ -334,17 +334,6 @@ pub struct ScenarioSpec {
     /// default) or the legacy per-prefix path. The `*_fused`/`*_legacy`
     /// contrast pairs flip only this bit.
     pub fuse_probes: bool,
-    /// Whether the engine partitions fused frontiers across scoped
-    /// expansion threads ([`probesim_core::Optimizations::parallel_sweep`]).
-    /// Deterministic work is unchanged by design; the randomized/hybrid
-    /// draws come from per-chunk RNG streams, so a scenario flipping this
-    /// bit carries its own workload baseline.
-    pub parallel_sweep: bool,
-    /// Whether dynamic scenarios build their store degree-ordered
-    /// ([`probesim_graph::GraphStore::from_view_degree_ordered`]): hubs
-    /// first in CSR storage, external ids preserved at the query
-    /// boundary.
-    pub relabel: bool,
 }
 
 impl ScenarioSpec {
@@ -468,9 +457,7 @@ pub struct ScenarioResult {
 /// crash recovery), two source-revisit streams through the
 /// `(version, source)` result cache (one static, contrasted against the
 /// uncached `probe_static_fused` budget, one under churn, contrasted
-/// against `dynamic_churn_balanced`), and two tier-4 locality workloads
-/// (the parallel fused sweep at a pinned thread count, and the
-/// degree-ordered relabeled store).
+/// against `dynamic_churn_balanced`).
 pub fn catalog() -> Vec<ScenarioSpec> {
     vec![
         ScenarioSpec {
@@ -483,8 +470,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 20,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "static_top_k",
@@ -496,8 +481,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 20,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "static_threshold",
@@ -509,8 +492,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 20,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "batch_sequential",
@@ -520,8 +501,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 16,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "batch_parallel",
@@ -531,8 +510,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 16,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "session_reuse_stream",
@@ -542,8 +519,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 8,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "fresh_session_per_query",
@@ -553,8 +528,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 8,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "dynamic_churn_balanced",
@@ -570,8 +543,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 24,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "dynamic_update_heavy",
@@ -587,8 +558,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 24,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "dynamic_read_heavy",
@@ -604,8 +573,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 24,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         // Concurrent serving scenarios: 1 writer thread racing snapshot
         // readers over a GraphStore. Latencies are gated per role
@@ -627,8 +594,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 32,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "store_concurrent_read_heavy",
@@ -645,8 +610,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 48,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         // Fused-vs-legacy probe contrast pairs: identical workloads, only
         // the `fuse_probes` bit differs. `probesim-bench --contrast` pairs
@@ -662,8 +625,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 12,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "probe_static_legacy",
@@ -675,8 +636,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 12,
             fuse_probes: false,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "probe_dynamic_fused",
@@ -692,8 +651,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 12,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "probe_dynamic_legacy",
@@ -709,8 +666,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 12,
             fuse_probes: false,
-            parallel_sweep: false,
-            relabel: false,
         },
         // QueryService serving scenarios: the whole stack behind one
         // handle. The interactive mix races 1 writer against N clients
@@ -733,8 +688,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 32,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "service_cache_repeat",
@@ -744,8 +697,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 40,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         // The replicated fleet: durable log + log-tailing replicas +
         // consistency-aware router as one serving surface. Work is
@@ -768,8 +719,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 32,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         // The same fleet mix under a seeded fault plan: replicas crash,
         // stall and detect corrupt log reads mid-run while the
@@ -793,8 +742,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 32,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         // Source revisits through the (version, source) result cache:
         // 3 sources revisited under rotating query shapes, so each source
@@ -815,8 +762,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 12,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
         },
         ScenarioSpec {
             name: "cache_revisit_churn",
@@ -833,49 +778,6 @@ pub fn catalog() -> Vec<ScenarioSpec> {
             epsilon: 0.1,
             queries: 24,
             fuse_probes: true,
-            parallel_sweep: false,
-            relabel: false,
-        },
-        // Tier-4 locality scenarios: the same balanced dynamic stream as
-        // dynamic_churn_balanced, once with the intra-query parallel
-        // sweep pinned at 4 threads (deterministic strategy work is
-        // unchanged; the counters gate that invariant on real
-        // workloads), once with the store built degree-ordered (the
-        // relabeling must be answer-invisible, so the fingerprint hash
-        // doubles as the correctness gate).
-        ScenarioSpec {
-            name: "probe_parallel_sweep",
-            description: "balanced dynamic stream with the parallel fused sweep (4 threads)",
-            graph: GraphSource::SlidingWindow {
-                n: 20_000,
-                window: 120_000,
-            },
-            kind: ScenarioKind::DynamicInterleaved {
-                updates_per_round: 1,
-                queries_per_round: 1,
-            },
-            epsilon: 0.1,
-            queries: 24,
-            fuse_probes: true,
-            parallel_sweep: true,
-            relabel: false,
-        },
-        ScenarioSpec {
-            name: "probe_relabel_locality",
-            description: "balanced dynamic stream on a degree-ordered (hub-first) store",
-            graph: GraphSource::SlidingWindow {
-                n: 20_000,
-                window: 120_000,
-            },
-            kind: ScenarioKind::DynamicInterleaved {
-                updates_per_round: 1,
-                queries_per_round: 1,
-            },
-            epsilon: 0.1,
-            queries: 24,
-            fuse_probes: true,
-            parallel_sweep: false,
-            relabel: true,
         },
     ]
 }
@@ -910,12 +812,6 @@ fn scaled(scale: Scale, size: usize) -> usize {
 pub fn run_scenario(spec: &ScenarioSpec, scale: Scale, seed: u64) -> ScenarioResult {
     let mut config = ProbeSimConfig::paper(spec.epsilon).with_seed(seed);
     config.optimizations.fuse_probes = spec.fuse_probes;
-    if spec.parallel_sweep {
-        // A fixed thread count keeps the randomized chunk-RNG layout —
-        // and therefore the gated work counters — machine-independent.
-        config.optimizations.parallel_sweep = true;
-        config.optimizations.sweep_threads = 4;
-    }
     let engine = ProbeSim::new(config);
     match spec.kind {
         ScenarioKind::DynamicInterleaved {
@@ -1273,14 +1169,8 @@ fn run_dynamic(
     // The overlay-backed store is the serving path: updates mutate the
     // copy-on-write overlay, every query binds a fresh published
     // snapshot. Identical edge sets mean identical estimates and work
-    // counters to the old direct-DynamicGraph path, bit for bit. The
-    // relabel variant stores the same graph degree-ordered; queries stay
-    // in external ids, so the fingerprint hash below is unaffected.
-    let mut store = if spec.relabel {
-        GraphStore::from_view_degree_ordered(&graph).with_degree_order_refresh(true)
-    } else {
-        GraphStore::from_view(&graph)
-    };
+    // counters to the old direct-DynamicGraph path, bit for bit.
+    let mut store = GraphStore::from_view(&graph);
     drop(graph);
     let start_edges = store.num_edges();
     let query_nodes = sample_query_nodes(&store, spec.queries.max(queries_per_round), seed);
@@ -1324,20 +1214,7 @@ fn run_dynamic(
         query_latency,
         update_latency: Some(update_latency),
         query_stats,
-        // Hash the final edge set in *external* ids, sorted: the
-        // degree-ordered variant of a workload must land on the same
-        // fingerprint as its plainly-labeled twin.
-        final_state_hash: Some(match GraphView::node_remap(&store).cloned() {
-            Some(remap) => {
-                let mut edges: Vec<Edge> = store
-                    .edges_iter()
-                    .map(|(u, v)| (remap.external(u), remap.external(v)))
-                    .collect();
-                edges.sort_unstable();
-                graph_state_hash(n, edges.into_iter())
-            }
-            None => graph_state_hash(n, store.edges_iter()),
-        }),
+        final_state_hash: Some(graph_state_hash(n, store.edges_iter())),
         work_deterministic: spec.work_deterministic(),
         versions_observed: None,
         cache_hits: None,

@@ -49,18 +49,6 @@ pub struct Optimizations {
     /// most once. Only effective together with `batch_walks`; the legacy
     /// per-prefix path is kept for A/B comparison and property tests.
     pub fuse_probes: bool,
-    /// Tier 4: partition each fused (level, group) frontier expansion
-    /// across scoped worker threads when the frontier is large enough.
-    /// Off by default. Output is **bit-identical** to the sequential
-    /// sweep at every thread count (the parallel paths replay per-chunk
-    /// contributions in fixed chunk order; randomized expansions derive
-    /// one RNG stream per fixed-width chunk). Only effective together
-    /// with `fuse_probes`.
-    pub parallel_sweep: bool,
-    /// Worker threads for `parallel_sweep`. `0` (the default) picks the
-    /// machine's available parallelism, capped at 8. Results never
-    /// depend on this value.
-    pub sweep_threads: usize,
     /// PROBE implementation.
     pub strategy: ProbeStrategy,
     /// The constant `c0` in the hybrid switch condition `Σ|O(x)| > c0·w·n`.
@@ -75,8 +63,6 @@ impl Default for Optimizations {
             prune_scores: true,
             batch_walks: true,
             fuse_probes: true,
-            parallel_sweep: false,
-            sweep_threads: 0,
             strategy: ProbeStrategy::default(),
             hybrid_c0: 0.5,
         }
@@ -92,24 +78,8 @@ impl Optimizations {
             prune_scores: false,
             batch_walks: false,
             fuse_probes: false,
-            parallel_sweep: false,
-            sweep_threads: 0,
             strategy: ProbeStrategy::Deterministic,
             hybrid_c0: 0.5,
-        }
-    }
-
-    /// The worker-thread count `parallel_sweep` should use: the
-    /// configured `sweep_threads`, or the machine's available
-    /// parallelism (capped at 8) when left at 0.
-    pub fn resolved_sweep_threads(&self) -> usize {
-        if self.sweep_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            self.sweep_threads
         }
     }
 }

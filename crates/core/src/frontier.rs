@@ -111,7 +111,7 @@ fn draw_budget(group_walks: u64, frontier_mass: f64, nr: usize) -> u32 {
 // The argument list mirrors the paper's probe-loop state; bundling it
 // into a struct would obscure which pieces each phase mutates.
 #[allow(clippy::too_many_arguments)]
-pub fn run_fused<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
+pub fn run_fused<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
     graph: &G,
     trie: &WalkTrie,
     nr: usize,
@@ -162,7 +162,7 @@ pub fn run_fused<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
 /// are restored on the abort path too.
 // Same flat parameter list as run_fused, for the same reason.
 #[allow(clippy::too_many_arguments)]
-fn fused_sweep<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
+fn fused_sweep<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
     graph: &G,
     trie: &WalkTrie,
     nr: usize,
@@ -208,12 +208,8 @@ fn fused_sweep<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
                 next,
                 frontier,
                 budget,
-                sweep,
-                remap,
             } = ws;
             budget.check(stats)?;
-            let sweep = *sweep;
-            let scan = remap.as_deref().map(|r| r.internal_order());
             // Merge phase: every sibling's arrival frontier plus each
             // sibling's own probe start (H_0 = {vertex}, weight w/nr)
             // lands in one deduplicated weighted frontier.
@@ -246,64 +242,31 @@ fn fused_sweep<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
             let avoid = trie.vertex(parent);
             stats.probes += 1;
             next.clear();
-            // Parallel dispatch keys on frontier *length* only (never
-            // thread count), so the sequential/parallel boundary is
-            // machine-independent and the deterministic replay merge
-            // reproduces the sequential bits exactly.
-            let go_parallel = sweep.parallel && current.len() >= probe::MIN_PARALLEL_FRONTIER;
             match strategy {
                 ProbeStrategy::Deterministic => {
-                    if go_parallel {
-                        probe::expand_level_deterministic_parallel(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            sweep.threads,
-                            stats,
-                        );
-                    } else {
-                        probe::expand_level_deterministic(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            stats,
-                        );
-                    }
+                    probe::expand_level_deterministic(
+                        graph,
+                        params.sqrt_c,
+                        avoid,
+                        current,
+                        next,
+                        stats,
+                    );
                 }
                 ProbeStrategy::Randomized => {
                     stats.randomized_probes += 1;
                     let mass: f64 = current.nodes().iter().map(|&v| current.get(v)).sum();
                     let draws = draw_budget(group_walks, mass, nr);
-                    if go_parallel {
-                        probe::expand_level_randomized_parallel(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            scan,
-                            draws,
-                            sweep.threads,
-                            stats,
-                            rng,
-                        );
-                    } else {
-                        probe::expand_level_randomized(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            scan,
-                            draws,
-                            stats,
-                            rng,
-                        );
-                    }
+                    probe::expand_level_randomized(
+                        graph,
+                        params.sqrt_c,
+                        avoid,
+                        current,
+                        next,
+                        draws,
+                        stats,
+                        rng,
+                    );
                 }
                 ProbeStrategy::Hybrid => {
                     let out_sum = probe::frontier_out_degree_sum(graph, current);
@@ -313,41 +276,15 @@ fn fused_sweep<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
                         stats.randomized_probes += 1;
                         let mass: f64 = current.nodes().iter().map(|&v| current.get(v)).sum();
                         let draws = draw_budget(group_walks, mass, nr);
-                        if go_parallel {
-                            probe::expand_level_randomized_parallel(
-                                graph,
-                                params.sqrt_c,
-                                avoid,
-                                current,
-                                next,
-                                scan,
-                                draws,
-                                sweep.threads,
-                                stats,
-                                rng,
-                            );
-                        } else {
-                            probe::expand_level_randomized(
-                                graph,
-                                params.sqrt_c,
-                                avoid,
-                                current,
-                                next,
-                                scan,
-                                draws,
-                                stats,
-                                rng,
-                            );
-                        }
-                    } else if go_parallel {
-                        probe::expand_level_deterministic_parallel(
+                        probe::expand_level_randomized(
                             graph,
                             params.sqrt_c,
                             avoid,
                             current,
                             next,
-                            sweep.threads,
+                            draws,
                             stats,
+                            rng,
                         );
                     } else {
                         probe::expand_level_deterministic(

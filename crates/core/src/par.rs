@@ -55,42 +55,6 @@ where
         .collect()
 }
 
-/// The fixed chunk width of [`chunked_ranges`].
-///
-/// A constant (rather than `len / threads`) is what makes the chunk
-/// *partition* independent of the thread count: callers that derive
-/// per-chunk RNG streams or merge per-chunk shards in chunk order get
-/// identical results at any parallelism level, because the chunks
-/// themselves never move.
-pub const SWEEP_CHUNK: usize = 256;
-
-/// Partitions `0..len` into contiguous [`SWEEP_CHUNK`]-sized chunks and
-/// runs `f(chunk_index, range)` for each across `threads` scoped workers,
-/// returning the per-chunk results **in chunk order** — the scoped
-/// chunked-reduce primitive behind the fused engine's parallel sweep.
-///
-/// The chunk boundaries depend only on `len`, never on `threads`, so a
-/// deterministic ordered fold over the returned shards reproduces the
-/// same result at every thread count (chunks are claimed dynamically,
-/// but results come back indexed).
-pub fn chunked_ranges<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> T + Sync,
-{
-    let chunks = len.div_ceil(SWEEP_CHUNK);
-    ordered_map_with(
-        chunks,
-        threads,
-        || (),
-        |_, c| {
-            let start = c * SWEEP_CHUNK;
-            let end = (start + SWEEP_CHUNK).min(len);
-            f(c, start..end)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,38 +120,5 @@ mod tests {
             "spawned {} workers for 3 jobs",
             inits.load(Ordering::Relaxed)
         );
-    }
-
-    #[test]
-    fn chunked_ranges_cover_the_input_exactly_once() {
-        for len in [
-            0usize,
-            1,
-            SWEEP_CHUNK - 1,
-            SWEEP_CHUNK,
-            SWEEP_CHUNK + 1,
-            3 * SWEEP_CHUNK + 7,
-        ] {
-            let ranges = chunked_ranges(len, 4, |c, r| (c, r));
-            let mut expected_start = 0usize;
-            for (i, (c, r)) in ranges.iter().enumerate() {
-                assert_eq!(*c, i);
-                assert_eq!(r.start, expected_start);
-                assert!(r.end > r.start);
-                assert!(r.end - r.start <= SWEEP_CHUNK);
-                expected_start = r.end;
-            }
-            assert_eq!(expected_start, len);
-            assert_eq!(ranges.len(), len.div_ceil(SWEEP_CHUNK));
-        }
-    }
-
-    #[test]
-    fn chunked_ranges_are_identical_at_every_thread_count() {
-        let len = 5 * SWEEP_CHUNK + 13;
-        let reference = chunked_ranges(len, 1, |c, r| (c, r));
-        for threads in [2usize, 4, 8, 64] {
-            assert_eq!(chunked_ranges(len, threads, |c, r| (c, r)), reference);
-        }
     }
 }

@@ -20,32 +20,12 @@
 //! of returning hash sets; the accumulator lives for the whole query.
 
 use probesim_graph::{GraphView, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::accum::ScoreSink;
 use crate::budget::BudgetExceeded;
 use crate::result::QueryStats;
 use crate::workspace::{LevelBuf, ProbeWorkspace};
-
-/// Minimum frontier size before a parallel expansion pays for its
-/// fan-out; smaller frontiers run inline. A length threshold (never a
-/// thread count) keeps the parallel/sequential decision independent of
-/// the machine.
-pub(crate) const MIN_PARALLEL_FRONTIER: usize = 64;
-
-/// SplitMix64-style finalizer deriving one RNG seed per (expansion,
-/// chunk) pair: `base` is a single `u64` drawn from the query RNG at the
-/// start of the expansion (so the stream position depends only on the
-/// expansion sequence, never the thread count), mixed with the chunk
-/// index.
-#[inline]
-fn chunk_seed(base: u64, chunk: u64) -> u64 {
-    let mut z = base ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Shared probe parameters.
 #[derive(Debug, Clone, Copy)]
@@ -146,56 +126,6 @@ pub(crate) fn expand_level_deterministic<G: GraphView>(
     }
 }
 
-/// The parallel twin of [`expand_level_deterministic`], used by the
-/// fused sweep when [`crate::workspace::SweepPolicy`] arms it.
-///
-/// The frontier's node list is cut into fixed-width chunks
-/// ([`crate::par::chunked_ranges`]); each worker records its raw
-/// `(target, delta)` contributions **in emission order** into private
-/// struct-of-arrays shards, and the merge then replays every shard in
-/// chunk order through `next.add`. Because chunk boundaries and
-/// per-chunk emission order are exactly the sequential iteration order,
-/// the replayed add sequence *is* the sequential add sequence — same
-/// floating-point association, bit-identical `next`, identical stats —
-/// at any thread count, including 1.
-pub(crate) fn expand_level_deterministic_parallel<G: GraphView + Sync>(
-    graph: &G,
-    sqrt_c: f64,
-    avoid: NodeId,
-    current: &LevelBuf,
-    next: &mut LevelBuf,
-    threads: usize,
-    stats: &mut QueryStats,
-) {
-    let nodes = current.nodes();
-    let shards = crate::par::chunked_ranges(nodes.len(), threads, |_, range| {
-        let mut shard_nodes: Vec<NodeId> = Vec::new();
-        let mut shard_deltas: Vec<f64> = Vec::new();
-        let mut edges = 0usize;
-        for &x in &nodes[range] {
-            let score_x = current.get(x);
-            if score_x <= 0.0 {
-                continue;
-            }
-            for &v in graph.out_neighbors(x) {
-                edges += 1;
-                if v == avoid {
-                    continue;
-                }
-                shard_nodes.push(v);
-                shard_deltas.push(sqrt_c / graph.in_degree(v) as f64 * score_x);
-            }
-        }
-        (shard_nodes, shard_deltas, edges)
-    });
-    for (shard_nodes, shard_deltas, edges) in shards {
-        stats.edges_expanded += edges;
-        for (v, delta) in shard_nodes.into_iter().zip(shard_deltas) {
-            next.add(v, delta);
-        }
-    }
-}
-
 /// Out-degree sum of a frontier — the quantity the hybrid switch
 /// condition compares against `c0·w·n` (shared by the per-prefix hybrid
 /// and the fused engine).
@@ -241,7 +171,6 @@ pub fn randomized<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
             avoid,
             &ws.current,
             &mut ws.next,
-            ws.remap.as_deref().map(|r| r.internal_order()),
             1,
             stats,
             rng,
@@ -283,12 +212,6 @@ pub fn randomized<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
 ///
 /// Either way `E[H'(x)] = √c/|I(x)| · Σ_{v∈H} H(v)`, so the estimator
 /// is unbiased level by level.
-///
-/// `scan` is the node order for the dense `U = V` branch: `None` scans
-/// internal ids `0..n`; a relabeled graph passes its internal ids in
-/// external-ascending order ([`probesim_graph::NodeRemap`]), so the
-/// candidate visit sequence — hence the RNG consumption — is identical
-/// to the unrelabeled graph's.
 // Same flat probe-loop state as randomized, for the same reason.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_level_randomized<G: GraphView, R: Rng + ?Sized>(
@@ -297,7 +220,6 @@ pub(crate) fn expand_level_randomized<G: GraphView, R: Rng + ?Sized>(
     avoid: NodeId,
     current: &LevelBuf,
     next: &mut LevelBuf,
-    scan: Option<&[NodeId]>,
     draws: u32,
     stats: &mut QueryStats,
     rng: &mut R,
@@ -361,147 +283,12 @@ pub(crate) fn expand_level_randomized<G: GraphView, R: Rng + ?Sized>(
             }
         }
     } else {
-        match scan {
-            Some(order) => {
-                for &cand in order {
-                    try_candidate(cand, rng, stats);
-                }
-            }
-            None => {
-                for cand in graph.nodes() {
-                    try_candidate(cand, rng, stats);
-                }
-            }
+        for cand in graph.nodes() {
+            try_candidate(cand, rng, stats);
         }
     }
     // Compact away the zero-score "processed" markers so the next level
     // only iterates real members.
-    next.retain(|_, s| s > 0.0);
-}
-
-/// The parallel twin of [`expand_level_randomized`], used by the fused
-/// sweep when [`crate::workspace::SweepPolicy`] arms it.
-///
-/// Candidates are enumerated **sequentially** (same order and dedup
-/// marking as the sequential path, so no candidate is double-sampled),
-/// then cut into fixed-width chunks. One `u64` is drawn from the query
-/// RNG per expansion; each chunk seeds a private [`StdRng`] from
-/// ([`chunk_seed`]) that base and the chunk index, so the sampled
-/// output depends on (seed, expansion, chunk) — never on the thread
-/// count. Per-candidate trial logic mirrors the sequential path exactly
-/// (including the Rao–Blackwell shortcut, which consumes no RNG);
-/// positive results merge in candidate order.
-///
-/// One accounted difference from the sequential path: candidates with
-/// no in-neighbors are marked processed here (the sequential path
-/// re-inspects them per duplicate), so `nodes_sampled` can be lower —
-/// this mode carries its own workload baseline.
-// Same flat probe-loop parameter list as expand_level_randomized, plus
-// the thread budget; a struct would obscure which pieces each phase
-// mutates.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_level_randomized_parallel<G: GraphView + Sync, R: Rng + ?Sized>(
-    graph: &G,
-    sqrt_c: f64,
-    avoid: NodeId,
-    current: &LevelBuf,
-    next: &mut LevelBuf,
-    scan: Option<&[NodeId]>,
-    draws: u32,
-    threads: usize,
-    stats: &mut QueryStats,
-    rng: &mut R,
-) {
-    let n = graph.num_nodes();
-    let out_sum = frontier_out_degree_sum(graph, current);
-    let draws = draws.max(1);
-    let mut candidates: Vec<NodeId> = Vec::new();
-    {
-        let mut push = |x: NodeId| {
-            if x == avoid || next.contains(x) {
-                return;
-            }
-            next.set(x, 0.0);
-            candidates.push(x);
-        };
-        if out_sum <= n {
-            for &x in current.nodes() {
-                if current.get(x) <= 0.0 {
-                    continue;
-                }
-                for &cand in graph.out_neighbors(x) {
-                    push(cand);
-                }
-            }
-        } else {
-            match scan {
-                Some(order) => {
-                    for &cand in order {
-                        push(cand);
-                    }
-                }
-                None => {
-                    for cand in graph.nodes() {
-                        push(cand);
-                    }
-                }
-            }
-        }
-    }
-    if candidates.is_empty() {
-        next.retain(|_, s| s > 0.0);
-        return;
-    }
-    let base: u64 = rng.gen();
-    let shards = crate::par::chunked_ranges(candidates.len(), threads, |chunk, range| {
-        let mut chunk_rng = StdRng::seed_from_u64(chunk_seed(base, chunk as u64));
-        let mut values: Vec<f64> = Vec::with_capacity(range.len());
-        let mut sampled = 0usize;
-        let mut edges = 0usize;
-        for &x in &candidates[range] {
-            let in_nbrs = graph.in_neighbors(x);
-            if in_nbrs.is_empty() {
-                sampled += 1;
-                values.push(0.0);
-                continue;
-            }
-            if draws > 1 && draws as usize >= in_nbrs.len() {
-                // Rao–Blackwell shortcut, RNG-free — see the sequential
-                // path for why this keeps the estimator unbiased.
-                sampled += 1;
-                edges += in_nbrs.len();
-                let mass: f64 = in_nbrs.iter().map(|&v| current.get(v)).sum();
-                values.push(if mass > 0.0 {
-                    sqrt_c * mass / in_nbrs.len() as f64
-                } else {
-                    0.0
-                });
-                continue;
-            }
-            sampled += draws as usize;
-            let mut kept = 0.0f64;
-            for _ in 0..draws {
-                let v = in_nbrs[chunk_rng.gen_range(0..in_nbrs.len())];
-                let score_v = current.get(v);
-                if score_v > 0.0 && chunk_rng.gen::<f64>() < sqrt_c {
-                    kept += score_v;
-                }
-            }
-            values.push(if kept > 0.0 { kept / draws as f64 } else { 0.0 });
-        }
-        (values, sampled, edges)
-    });
-    let mut i = 0usize;
-    for (values, sampled, edges) in shards {
-        stats.nodes_sampled += sampled;
-        stats.edges_expanded += edges;
-        for value in values {
-            if value > 0.0 {
-                next.add(candidates[i], value);
-            }
-            i += 1;
-        }
-    }
     next.retain(|_, s| s > 0.0);
 }
 
@@ -616,7 +403,6 @@ fn randomized_continuations<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized
                     avoid,
                     &ws.current,
                     &mut ws.next,
-                    ws.remap.as_deref().map(|r| r.internal_order()),
                     1,
                     stats,
                     rng,

@@ -39,25 +39,8 @@ use crate::budget::{BudgetExceeded, ProbeBudget};
 use crate::probe::ProbeParams;
 use crate::result::{QueryStats, SingleSourceResult};
 use crate::single_source::ProbeSim;
-use crate::workspace::{ProbeWorkspace, SweepPolicy};
+use crate::workspace::ProbeWorkspace;
 use crate::ProbeSimConfig;
-
-/// The sweep policy a session derives from its engine configuration:
-/// parallel intra-query expansion is opt-in
-/// ([`crate::Optimizations::parallel_sweep`]), and the thread budget is
-/// resolved once at session creation so every query of the session uses
-/// the same partitioning.
-fn sweep_policy(config: &ProbeSimConfig) -> SweepPolicy {
-    let opts = &config.optimizations;
-    if opts.parallel_sweep {
-        SweepPolicy {
-            parallel: true,
-            threads: opts.resolved_sweep_threads(),
-        }
-    } else {
-        SweepPolicy::sequential()
-    }
-}
 
 /// The per-query RNG: seeded from the engine seed and the query node, so
 /// repeated identical queries return identical estimates regardless of
@@ -517,11 +500,7 @@ pub struct QuerySession<G: GraphView> {
     last_touched: usize,
 }
 
-// `Sync` because the fused sweep may fan a frontier out across scoped
-// worker threads that share the graph borrow (see
-// [`crate::Optimizations::parallel_sweep`]); every graph type in this
-// workspace is `Sync`.
-impl<G: GraphView + Sync> QuerySession<G> {
+impl<G: GraphView> QuerySession<G> {
     /// Binds `engine`'s configuration to `graph` (a borrow or an owned
     /// view — see [`ProbeSim::session`]). Scratch buffers are sized for
     /// the graph's current node count; if the graph's `n` grows
@@ -530,14 +509,11 @@ impl<G: GraphView + Sync> QuerySession<G> {
     /// [`QueryError::GraphResized`] instead of indexing out of bounds.
     pub fn new(engine: &ProbeSim, graph: G) -> Self {
         let n = graph.num_nodes();
-        let mut ws = ProbeWorkspace::new(n);
-        ws.sweep = sweep_policy(engine.config());
-        ws.remap = graph.node_remap().cloned();
         QuerySession {
             engine: engine.clone(),
             graph,
             session_nodes: n,
-            ws,
+            ws: ProbeWorkspace::new(n),
             acc: SparseAccumulator::new(n),
             total_stats: QueryStats::default(),
             queries_run: 0,
@@ -621,16 +597,11 @@ impl<G: GraphView + Sync> QuerySession<G> {
     /// session, not the graph.
     pub fn rebind<H: GraphView>(self, graph: H) -> QuerySession<H> {
         let n = graph.num_nodes();
-        let (mut ws, acc, last_touched) = if n == self.session_nodes {
+        let (ws, acc, last_touched) = if n == self.session_nodes {
             (self.ws, self.acc, self.last_touched)
         } else {
             (ProbeWorkspace::new(n), SparseAccumulator::new(n), 0)
         };
-        // The sweep policy follows the engine (unchanged here), the
-        // relabeling follows the graph: a rebind across snapshot versions
-        // of one degree-ordered store refreshes the remap handle.
-        ws.sweep = sweep_policy(self.engine.config());
-        ws.remap = graph.node_remap().cloned();
         QuerySession {
             engine: self.engine,
             graph,
@@ -723,16 +694,7 @@ impl<G: GraphView + Sync> QuerySession<G> {
         rng: &mut R,
         probe_budget: ProbeBudget,
     ) -> Result<QueryOutput, QueryError> {
-        let u_ext = query.node();
-        // Under a degree-ordered relabeling the probe engines run in the
-        // graph's storage id space; the query node is translated on the
-        // way in and touched entries on the way out. The per-query RNG is
-        // seeded with the *external* id upstream, so an answer is
-        // identical with and without relabeling.
-        let u = match self.graph.node_remap() {
-            Some(r) => r.internal(u_ext),
-            None => u_ext,
-        };
+        let u = query.node();
         let n = self.graph.num_nodes();
         let config = self.engine.config();
         let budget = config.budget();
@@ -793,20 +755,12 @@ impl<G: GraphView + Sync> QuerySession<G> {
         // restores the accumulator's clean invariant in the same pass.
         let mut entries: Vec<(NodeId, f64)> = Vec::with_capacity(self.last_touched);
         self.acc.drain_into(u, &mut entries);
-        if let Some(r) = self.graph.node_remap() {
-            // Back to external ids; the drain order was ascending in
-            // storage space, so restore the sparse-result sort contract.
-            for e in &mut entries {
-                e.0 = r.external(e.0);
-            }
-            entries.sort_unstable_by_key(|e| e.0);
-        }
         self.last_touched = entries.len();
         self.total_stats.merge(&stats);
         self.queries_run += 1;
         Ok(QueryOutput {
             query,
-            scores: SparseScores::new(u_ext, n, baseline, entries),
+            scores: SparseScores::new(u, n, baseline, entries),
             stats,
         })
     }
@@ -834,7 +788,7 @@ impl ProbeSim {
     /// * `engine.session(store.snapshot())` — own a
     ///   `GraphSnapshot`: the session is `'static`, can move across
     ///   threads, and can never observe [`QueryError::GraphResized`].
-    pub fn session<G: GraphView + Sync>(&self, graph: G) -> QuerySession<G> {
+    pub fn session<G: GraphView>(&self, graph: G) -> QuerySession<G> {
         QuerySession::new(self, graph)
     }
 
@@ -1068,8 +1022,8 @@ mod tests {
     /// A graph whose node count can grow behind a shared borrow — the
     /// shape of bugs where `DynamicGraph::add_nodes` outruns a session's
     /// slab sizing (e.g. a service holding the graph in a lock and
-    /// recreating sessions lazily). Atomic-backed so it stays `Sync`
-    /// (sessions require it for the parallel sweep).
+    /// recreating sessions lazily). Atomic-backed so a shared borrow can
+    /// grow it.
     struct GrowableGraph {
         inner: CsrGraph,
         extra_nodes: std::sync::atomic::AtomicUsize,

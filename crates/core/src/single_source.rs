@@ -52,14 +52,14 @@ impl ProbeSim {
     /// invalid query node — use [`ProbeSim::try_single_source`] for a
     /// fallible variant, and a long-lived session to amortize scratch
     /// allocation across queries.
-    pub fn single_source<G: GraphView + Sync>(&self, graph: &G, u: NodeId) -> SingleSourceResult {
+    pub fn single_source<G: GraphView>(&self, graph: &G, u: NodeId) -> SingleSourceResult {
         self.try_single_source(graph, u)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`ProbeSim::single_source`]: rejects out-of-range nodes and
     /// empty graphs instead of panicking.
-    pub fn try_single_source<G: GraphView + Sync>(
+    pub fn try_single_source<G: GraphView>(
         &self,
         graph: &G,
         u: NodeId,
@@ -71,7 +71,7 @@ impl ProbeSim {
     /// [`ProbeSim::single_source`] with an external RNG (for experiment
     /// harnesses that manage their own seed streams). Panics on an invalid
     /// query node.
-    pub fn single_source_with_rng<G: GraphView + Sync, R: Rng>(
+    pub fn single_source_with_rng<G: GraphView, R: Rng>(
         &self,
         graph: &G,
         u: NodeId,
@@ -89,7 +89,7 @@ impl ProbeSim {
     ///
     /// Convenience wrapper over a throwaway [`crate::session::QuerySession`]; panics on an
     /// invalid query — see [`ProbeSim::try_top_k`].
-    pub fn top_k<G: GraphView + Sync>(&self, graph: &G, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
+    pub fn top_k<G: GraphView>(&self, graph: &G, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
         self.try_top_k(graph, u, k)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -100,7 +100,7 @@ impl ProbeSim {
     /// `k = 0` keeps the legacy wrapper semantics and returns an empty
     /// ranking (the node is still validated); the strict session API
     /// ([`Query::TopK`]) rejects `k = 0` as [`QueryError::InvalidK`].
-    pub fn try_top_k<G: GraphView + Sync>(
+    pub fn try_top_k<G: GraphView>(
         &self,
         graph: &G,
         u: NodeId,
@@ -123,7 +123,7 @@ impl ProbeSim {
     /// path against it; `SparseScores::to_dense` must match this
     /// bit-for-bit.
     #[doc(hidden)]
-    pub fn single_source_dense_reference<G: GraphView + Sync>(
+    pub fn single_source_dense_reference<G: GraphView>(
         &self,
         graph: &G,
         u: NodeId,
@@ -252,7 +252,7 @@ impl ProbeSim {
     // Same flat parameter list as run_unbatched, same borrow-split
     // reason.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_batched<G: GraphView + Sync, A: ScoreSink + ?Sized, R: Rng>(
+    pub(crate) fn run_batched<G: GraphView, A: ScoreSink + ?Sized, R: Rng>(
         &self,
         graph: &G,
         u: NodeId,

@@ -196,39 +196,6 @@ impl FrontierArena {
     }
 }
 
-/// How the fused sweep schedules each (level, group) expansion.
-///
-/// Sequential by default; [`crate::QuerySession`] arms the parallel
-/// policy from [`crate::Optimizations::parallel_sweep`]. The policy
-/// only decides *where* the work runs — never *what* it computes: the
-/// deterministic parallel path replays per-chunk contributions in
-/// fixed chunk order (bit-identical to sequential), and the randomized
-/// path derives one RNG stream per fixed-width chunk, so output is
-/// independent of `threads`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepPolicy {
-    /// Partition large frontiers across scoped worker threads.
-    pub parallel: bool,
-    /// Worker-thread count for parallel expansions (>= 1).
-    pub threads: usize,
-}
-
-impl SweepPolicy {
-    /// The default single-threaded policy.
-    pub fn sequential() -> Self {
-        SweepPolicy {
-            parallel: false,
-            threads: 1,
-        }
-    }
-}
-
-impl Default for SweepPolicy {
-    fn default() -> Self {
-        SweepPolicy::sequential()
-    }
-}
-
 /// Double-buffered frontier pair for a probe traversal.
 #[derive(Debug, Clone)]
 pub struct ProbeWorkspace {
@@ -244,14 +211,6 @@ pub struct ProbeWorkspace {
     /// (`QuerySession::run_with_budget`); carrying it here keeps the
     /// probe signatures free of an extra threading parameter.
     pub budget: ProbeBudget,
-    /// Intra-query parallelism policy for the fused sweep; sequential
-    /// unless the session armed [`crate::Optimizations::parallel_sweep`].
-    pub sweep: SweepPolicy,
-    /// The bound graph's node relabeling, when it carries one. The
-    /// randomized probe's dense-candidate branch scans nodes through
-    /// this map (external-ascending order) so relabeled graphs replay
-    /// the exact RNG consumption sequence of the unrelabeled graph.
-    pub remap: Option<std::sync::Arc<probesim_graph::NodeRemap>>,
 }
 
 impl ProbeWorkspace {
@@ -262,8 +221,6 @@ impl ProbeWorkspace {
             next: LevelBuf::new(n),
             frontier: FrontierArena::new(),
             budget: ProbeBudget::unlimited(),
-            sweep: SweepPolicy::sequential(),
-            remap: None,
         }
     }
 

@@ -64,9 +64,7 @@ impl ProbeSimAlgo {
     }
 }
 
-// `Sync` comes with the session API: the fused sweep may fan a frontier
-// out across scoped threads sharing the graph borrow.
-impl<G: GraphView + Sync> SimRankAlgorithm<G> for ProbeSimAlgo {
+impl<G: GraphView> SimRankAlgorithm<G> for ProbeSimAlgo {
     fn name(&self) -> String {
         ProbeSimAlgo::name(self)
     }
@@ -253,7 +251,7 @@ mod tests {
     use probesim_graph::toy::{toy_edges, toy_graph, A, D, TOY_DECAY};
     use probesim_graph::DynamicGraph;
 
-    fn all_toy_algorithms<G: GraphView + Sync>() -> Vec<Box<dyn SimRankAlgorithm<G>>> {
+    fn all_toy_algorithms<G: GraphView>() -> Vec<Box<dyn SimRankAlgorithm<G>>> {
         vec![
             Box::new(ProbeSimAlgo::new(
                 ProbeSimConfig::new(TOY_DECAY, 0.05, 0.01).with_seed(1),

@@ -14,15 +14,7 @@ use rand::{Rng, SeedableRng};
 /// nonzero in-degree. Returns fewer when the graph has fewer eligible
 /// nodes. Deterministic in `seed`.
 pub fn sample_query_nodes<G: GraphView>(graph: &G, count: usize, seed: u64) -> Vec<NodeId> {
-    // Eligibility is a storage-space check, but the sample is drawn in
-    // external-id order: a degree-relabeled graph yields exactly the
-    // node list its plainly-labeled twin would.
-    let eligible: Vec<NodeId> = match graph.node_remap() {
-        Some(remap) => (0..graph.num_nodes() as NodeId)
-            .filter(|&e| graph.has_in_edges(remap.internal(e)))
-            .collect(),
-        None => graph.nodes().filter(|&v| graph.has_in_edges(v)).collect(),
-    };
+    let eligible: Vec<NodeId> = graph.nodes().filter(|&v| graph.has_in_edges(v)).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     if eligible.len() <= count {
         return eligible;

@@ -4,18 +4,11 @@
 //! follow *in*-edges, while ProbeSim's PROBE traversal and TSF's reversed
 //! one-way graphs follow *out*-edges, so both must be O(1)-indexable.
 //! Neighbor lists are sorted, enabling `has_edge` by binary search and
-//! deterministic iteration order.
-//!
-//! A CSR can optionally be built **degree-ordered**
-//! ([`CsrGraph::degree_ordered_from`]): nodes are relabeled by
-//! descending out-degree behind a [`NodeRemap`] so hub rows pack the
-//! front of the arrays for locality, while rows keep their neighbors in
-//! **external-ascending order** — the invariant that makes relabeled
-//! traversal bit-identical to unrelabeled (see [`crate::relabel`]).
+//! deterministic iteration order. Construction is a two-pass counting
+//! sort over any re-iterable edge source ([`CsrGraph::from_edge_iter`]),
+//! which is how compaction and snapshot rebuilds stream the overlay's
+//! edges into a fresh base without an intermediate edge list.
 
-use std::sync::Arc;
-
-use crate::relabel::NodeRemap;
 use crate::view::GraphView;
 use crate::{Edge, NodeId};
 
@@ -45,10 +38,6 @@ pub struct CsrGraph {
     out_targets: Vec<NodeId>,
     in_offsets: Vec<usize>,
     in_sources: Vec<NodeId>,
-    /// When present, node ids in the arrays are *internal* (degree-
-    /// ordered) labels and this maps them back to the caller's external
-    /// ids. `None` means the two spaces coincide.
-    remap: Option<Arc<NodeRemap>>,
 }
 
 impl CsrGraph {
@@ -74,42 +63,7 @@ impl CsrGraph {
         I: IntoIterator<Item = Edge>,
         I::IntoIter: Clone,
     {
-        Self::from_external_edge_iter(n, edges, None)
-    }
-
-    /// Builds a degree-ordered CSR from any graph view whose ids are
-    /// external (i.e. the view itself carries no remap): nodes are
-    /// relabeled by descending out-degree behind a [`NodeRemap`], so hub
-    /// adjacency packs the front of the arrays. Query callers keep using
-    /// external ids; [`crate::relabel`] explains the boundary.
-    pub fn degree_ordered_from<G: GraphView + ?Sized>(graph: &G) -> Self {
-        debug_assert!(
-            graph.node_remap().is_none(),
-            "invariant: degree_ordered_from takes an external-id view"
-        );
-        let remap = Arc::new(NodeRemap::by_descending_out_degree(graph));
-        Self::from_external_edge_iter(graph.num_nodes(), graph.edges_iter(), Some(remap))
-    }
-
-    /// The core two-pass counting-sort builder. `edges` yields
-    /// **external** endpoints; when `remap` is present they are stored
-    /// under internal labels, with every adjacency run kept in
-    /// external-ascending order (the bit-identity invariant of
-    /// [`crate::relabel`]). The iterator is consumed twice.
-    pub(crate) fn from_external_edge_iter<I>(
-        n: usize,
-        edges: I,
-        remap: Option<Arc<NodeRemap>>,
-    ) -> Self
-    where
-        I: IntoIterator<Item = Edge>,
-        I::IntoIter: Clone,
-    {
         let edges = edges.into_iter();
-        let int = |x: NodeId| match &remap {
-            Some(r) => r.internal(x),
-            None => x,
-        };
         let mut m = 0usize;
         let mut out_offsets = vec![0usize; n + 1];
         let mut in_offsets = vec![0usize; n + 1];
@@ -118,8 +72,8 @@ impl CsrGraph {
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u}, {v}) out of bounds for n = {n}"
             );
-            out_offsets[int(u) as usize + 1] += 1;
-            in_offsets[int(v) as usize + 1] += 1;
+            out_offsets[u as usize + 1] += 1;
+            in_offsets[v as usize + 1] += 1;
             m += 1;
         }
         for i in 0..n {
@@ -132,29 +86,17 @@ impl CsrGraph {
         let mut out_cursor = out_offsets.clone();
         let mut in_cursor = in_offsets.clone();
         for (u, v) in edges {
-            let (iu, iv) = (int(u) as usize, int(v) as usize);
-            out_targets[out_cursor[iu]] = int(v);
-            out_cursor[iu] += 1;
-            in_sources[in_cursor[iv]] = int(u);
-            in_cursor[iv] += 1;
+            let (u_row, v_row) = (u as usize, v as usize);
+            out_targets[out_cursor[u_row]] = v;
+            out_cursor[u_row] += 1;
+            in_sources[in_cursor[v_row]] = u;
+            in_cursor[v_row] += 1;
         }
         // Sort each adjacency run for determinism and binary-search
-        // lookups. Relabeled runs sort by *external* key: traversal is
-        // positional, so preserving the external order of every row is
-        // what keeps relabeled execution bit-identical.
+        // lookups.
         for v in 0..n {
-            let out_run = &mut out_targets[out_offsets[v]..out_offsets[v + 1]];
-            let in_run = &mut in_sources[in_offsets[v]..in_offsets[v + 1]];
-            match &remap {
-                Some(r) => {
-                    out_run.sort_unstable_by_key(|&t| r.external(t));
-                    in_run.sort_unstable_by_key(|&s| r.external(s));
-                }
-                None => {
-                    out_run.sort_unstable();
-                    in_run.sort_unstable();
-                }
-            }
+            out_targets[out_offsets[v]..out_offsets[v + 1]].sort_unstable();
+            in_sources[in_offsets[v]..in_offsets[v + 1]].sort_unstable();
         }
         CsrGraph {
             num_nodes: n,
@@ -162,22 +104,13 @@ impl CsrGraph {
             out_targets,
             in_offsets,
             in_sources,
-            remap,
         }
     }
 
-    /// True when the directed edge `u -> v` exists (ids in this graph's
-    /// storage space). O(log deg(u)); relabeled rows binary-search by
-    /// external key since that is their sort order.
+    /// True when the directed edge `u -> v` exists. O(log deg(u)).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        match &self.remap {
-            None => self.out_neighbors(u).binary_search(&v).is_ok(),
-            Some(r) => self
-                .out_neighbors(u)
-                .binary_search_by_key(&r.external(v), |&t| r.external(t))
-                .is_ok(),
-        }
+        self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
     /// All edges in `(source, target)` order, sorted by source then target.
@@ -194,8 +127,7 @@ impl CsrGraph {
     }
 
     /// The transpose graph (every edge reversed). O(n + m); reuses the
-    /// already-sorted adjacency arrays by swapping directions (a remap,
-    /// if any, is direction-agnostic and carries over).
+    /// already-sorted adjacency arrays by swapping directions.
     pub fn transpose(&self) -> CsrGraph {
         CsrGraph {
             num_nodes: self.num_nodes,
@@ -203,21 +135,7 @@ impl CsrGraph {
             out_targets: self.in_sources.clone(),
             in_offsets: self.out_offsets.clone(),
             in_sources: self.out_targets.clone(),
-            remap: self.remap.clone(),
         }
-    }
-
-    /// Iterates all edges with **external** endpoints. For unrelabeled
-    /// graphs this is [`CsrGraph::edges_iter`]; for relabeled graphs the
-    /// endpoints are translated back, yielding the edge set the caller
-    /// originally supplied (grouped by internal source — not globally
-    /// sorted). Used by store compaction to rebuild without losing the
-    /// external id space.
-    pub fn external_edges_iter(&self) -> impl Iterator<Item = Edge> + Clone + '_ {
-        self.edges_iter().map(move |(u, v)| match &self.remap {
-            Some(r) => (r.external(u), r.external(v)),
-            None => (u, v),
-        })
     }
 
     /// Approximate resident memory of the structure in bytes. Used by the
@@ -227,10 +145,6 @@ impl CsrGraph {
             + self.in_offsets.len() * std::mem::size_of::<usize>()
             + self.out_targets.len() * std::mem::size_of::<NodeId>()
             + self.in_sources.len() * std::mem::size_of::<NodeId>()
-            + self
-                .remap
-                .as_ref()
-                .map_or(0, |r| 2 * r.len() * std::mem::size_of::<NodeId>())
     }
 }
 
@@ -259,11 +173,6 @@ impl GraphView for CsrGraph {
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
         &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]]
-    }
-
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<NodeRemap>> {
-        self.remap.as_ref()
     }
 }
 
@@ -351,51 +260,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_edge_panics() {
         let _ = CsrGraph::from_edges(2, &[(0, 2)]);
-    }
-
-    #[test]
-    fn degree_ordered_rows_keep_external_order() {
-        // out-degrees: 0 -> 1, 1 -> 3, 2 -> 0, 3 -> 2; hub 1 becomes
-        // internal 0, then 3, then 0, then 2.
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 0), (1, 2), (1, 3), (3, 2), (3, 0)]);
-        let d = CsrGraph::degree_ordered_from(&g);
-        let remap = d
-            .node_remap()
-            .expect("degree order carries a remap")
-            .clone();
-        assert_eq!(d.num_nodes(), 4);
-        assert_eq!(d.num_edges(), 6);
-        for ext in 0..4u32 {
-            // Each relabeled row is the unrelabeled row mapped
-            // elementwise — same (external) order, so positional
-            // traversal is unchanged.
-            let expect_out: Vec<NodeId> = g
-                .out_neighbors(ext)
-                .iter()
-                .map(|&v| remap.internal(v))
-                .collect();
-            assert_eq!(d.out_neighbors(remap.internal(ext)), expect_out);
-            let expect_in: Vec<NodeId> = g
-                .in_neighbors(ext)
-                .iter()
-                .map(|&v| remap.internal(v))
-                .collect();
-            assert_eq!(d.in_neighbors(remap.internal(ext)), expect_in);
-        }
-        // has_edge works in internal space despite external-key row order.
-        for u in 0..4u32 {
-            for v in 0..4u32 {
-                assert_eq!(
-                    d.has_edge(remap.internal(u), remap.internal(v)),
-                    g.has_edge(u, v),
-                    "({u}, {v})"
-                );
-            }
-        }
-        // External edge iteration recovers the original edge set.
-        let mut ext_edges: Vec<Edge> = d.external_edges_iter().collect();
-        ext_edges.sort_unstable();
-        assert_eq!(ext_edges, g.edges());
     }
 
     #[test]

@@ -186,7 +186,16 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
             "unsupported version {version}"
         )));
     }
-    let n = cur.get_u64_le() as usize;
+    let n = cur.get_u64_le();
+    // Node ids are `NodeId`s, so `n` must fit one: a larger count would
+    // truncate in `n as NodeId` (or wrap `n + 1` when sizing offsets).
+    if n > NodeId::MAX as u64 {
+        return Err(GraphError::Corrupt(format!(
+            "node count {n} exceeds the {}-bit id space",
+            NodeId::BITS
+        )));
+    }
+    let n = n as usize;
     let m = cur.get_u64_le() as usize;
     // checked_mul: a corrupt header with a huge edge count must become a
     // Corrupt error, not an overflow panic (or a wrapped-to-0 size check
@@ -194,7 +203,7 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let edge_bytes = m
         .checked_mul(8)
         .ok_or_else(|| GraphError::Corrupt(format!("edge count {m} overflows the format")))?;
-    if cur.remaining() < edge_bytes {
+    if cur.remaining() != edge_bytes {
         return Err(GraphError::Corrupt(format!(
             "expected {edge_bytes} edge bytes, found {}",
             cur.remaining()
@@ -306,15 +315,45 @@ mod tests {
         assert!(matches!(err, GraphError::Corrupt(_)));
     }
 
+    /// A header with `n` nodes, `m` edges and no edge payload.
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(VERSION);
+        buf.put_u64_le(n);
+        buf.put_u64_le(m);
+        buf
+    }
+
     #[test]
     fn binary_rejects_overflowing_edge_count() {
         // Header claims m = 2^62 edges; the size check must fail cleanly
         // instead of wrapping.
+        let err = read_binary(Cursor::new(header(1, 1u64 << 62))).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn binary_rejects_wrapping_node_count() {
+        // n + 1 wraps to 0 when sizing the offset arrays.
+        let err = read_binary(Cursor::new(header(u64::MAX, 0))).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn binary_rejects_node_count_beyond_the_id_space() {
+        // 2^40 nodes cannot be addressed by NodeId (and would ask for
+        // 8 TiB per offset array).
+        let err = read_binary(Cursor::new(header(1 << 40, 0))).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn binary_rejects_trailing_bytes() {
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(1);
-        buf.put_u64_le(1u64 << 62);
+        write_binary(&mut buf, &g).unwrap();
+        buf.put_u64_le(0);
         let err = read_binary(Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
     }
@@ -322,11 +361,7 @@ mod tests {
     #[test]
     fn binary_rejects_out_of_range_node() {
         // Hand-craft a file claiming n=1 but containing node id 7.
-        let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(1);
-        buf.put_u64_le(1);
+        let mut buf = header(1, 1);
         buf.put_u32_le(0);
         buf.put_u32_le(7);
         let err = read_binary(Cursor::new(buf)).unwrap_err();

@@ -59,7 +59,6 @@ pub mod error;
 pub mod hash;
 pub mod io;
 pub mod overlay;
-pub mod relabel;
 pub mod stats;
 pub mod store;
 pub mod toy;
@@ -71,7 +70,6 @@ pub use dynamic::{DynamicGraph, GraphUpdate};
 pub use error::GraphError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use overlay::OverlayGraph;
-pub use relabel::NodeRemap;
 pub use stats::DegreeStats;
 pub use store::{Commit, CompactionPolicy, GraphSnapshot, GraphStore, MutationObserver};
 pub use view::GraphView;

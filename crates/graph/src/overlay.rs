@@ -113,24 +113,10 @@ impl OverlayGraph {
         resolve(&self.inn, v, self.base.in_neighbors(v))
     }
 
-    /// The sort key of a stored node id: adjacency lists over a
-    /// degree-ordered base are kept in external-ascending order (the
-    /// relabeling bit-identity invariant, see [`crate::relabel`]), so
-    /// binary searches must compare external ids there.
-    #[inline]
-    fn sort_key(&self, x: NodeId) -> NodeId {
-        match self.base.node_remap() {
-            Some(r) => r.external(x),
-            None => x,
-        }
-    }
-
     /// True when the directed edge `u -> v` exists. O(log deg(u)).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.out_slice(u)
-            .binary_search_by_key(&self.sort_key(v), |&t| self.sort_key(t))
-            .is_ok()
+        self.out_slice(u).binary_search(&v).is_ok()
     }
 
     /// Materializes (on first touch) and returns the mutable out-list of
@@ -168,22 +154,13 @@ impl OverlayGraph {
         // (and permanently touch) the node's adjacency lists. The found
         // position stays valid after touch_out: materialization copies
         // the identical content.
-        let (ku, kv) = (self.sort_key(u), self.sort_key(v));
-        let pos = match self
-            .out_slice(u)
-            .binary_search_by_key(&kv, |&t| self.sort_key(t))
-        {
+        let pos = match self.out_slice(u).binary_search(&v) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        let remap = self.base.node_remap().cloned();
-        let key = |x: NodeId| match &remap {
-            Some(r) => r.external(x),
-            None => x,
-        };
         self.touch_out(u).insert(pos, v);
         let in_v = self.touch_in(v);
-        let ipos = in_v.binary_search_by_key(&ku, |&s| key(s)).unwrap_err();
+        let ipos = in_v.binary_search(&u).unwrap_err();
         in_v.insert(ipos, u);
         self.num_edges += 1;
         true
@@ -196,23 +173,14 @@ impl OverlayGraph {
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) out of bounds for n = {n}"
         );
-        let (ku, kv) = (self.sort_key(u), self.sort_key(v));
-        let pos = match self
-            .out_slice(u)
-            .binary_search_by_key(&kv, |&t| self.sort_key(t))
-        {
+        let pos = match self.out_slice(u).binary_search(&v) {
             Err(_) => return false,
             Ok(pos) => pos,
-        };
-        let remap = self.base.node_remap().cloned();
-        let key = |x: NodeId| match &remap {
-            Some(r) => r.external(x),
-            None => x,
         };
         self.touch_out(u).remove(pos);
         let in_v = self.touch_in(v);
         let ipos = in_v
-            .binary_search_by_key(&ku, |&s| key(s))
+            .binary_search(&u)
             .expect("invariant: in/out adjacency stay synchronized");
         in_v.remove(ipos);
         self.num_edges -= 1;
@@ -249,11 +217,6 @@ impl GraphView for OverlayGraph {
     #[inline]
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.out_slice(v)
-    }
-
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<crate::relabel::NodeRemap>> {
-        self.base.node_remap()
     }
 }
 

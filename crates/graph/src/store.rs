@@ -115,13 +115,6 @@ pub struct GraphStore {
     version: u64,
     policy: CompactionPolicy,
     compactions: u64,
-    /// When set, every compaction rebuilds the base **degree-ordered**
-    /// (relabeled by current descending out-degree behind a
-    /// [`crate::NodeRemap`]) instead of preserving the base's existing
-    /// labeling — so a long-lived store keeps its hub rows packed as
-    /// the degree distribution drifts. See
-    /// [`GraphStore::set_degree_order_refresh`].
-    refresh_degree_order: bool,
     /// The last published snapshot, handed back verbatim while no
     /// mutation or compaction intervenes: a version-unchanged
     /// `snapshot()` is one `Arc` bump instead of two map freezes (the
@@ -188,7 +181,6 @@ impl Clone for GraphStore {
             version: self.version,
             policy: self.policy,
             compactions: self.compactions,
-            refresh_degree_order: self.refresh_degree_order,
             // The clone republishes lazily.
             published: std::sync::Mutex::new(None),
             // Shared on purpose: over-notifying an observer is always
@@ -230,7 +222,6 @@ impl GraphStore {
             version: 0,
             policy: CompactionPolicy::default(),
             compactions: 0,
-            refresh_degree_order: false,
             published: std::sync::Mutex::new(None),
             observer: None,
         }
@@ -252,35 +243,9 @@ impl GraphStore {
         ))
     }
 
-    /// Like [`GraphStore::from_view`], but the base is built
-    /// **degree-ordered** ([`CsrGraph::degree_ordered_from`]): hub rows
-    /// pack the front of the CSR for locality. The store's mutation API
-    /// keeps taking external ids (they are translated at this boundary),
-    /// and sessions translate queries through
-    /// [`GraphView::node_remap`] — callers never see internal labels.
-    pub fn from_view_degree_ordered<G: GraphView>(graph: &G) -> Self {
-        Self::from_csr(CsrGraph::degree_ordered_from(graph))
-    }
-
     /// Replaces the compaction policy.
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets whether each compaction re-derives the degree ordering from
-    /// the *current* out-degrees (relabeling the fresh base) instead of
-    /// preserving the existing labeling. Off by default. Turning it on
-    /// for an unrelabeled store makes the next compaction adopt a
-    /// degree-ordered layout; published snapshots are unaffected (their
-    /// `Arc`s keep the old base alive).
-    pub fn set_degree_order_refresh(&mut self, on: bool) {
-        self.refresh_degree_order = on;
-    }
-
-    /// Builder form of [`GraphStore::set_degree_order_refresh`].
-    pub fn with_degree_order_refresh(mut self, on: bool) -> Self {
-        self.refresh_degree_order = on;
         self
     }
 
@@ -393,12 +358,6 @@ impl GraphStore {
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) out of bounds for n = {n}"
         );
-        // Mutations address edges by external id; translate once here if
-        // the base is degree-ordered (internal storage labels).
-        let (u, v) = match self.overlay.base().node_remap() {
-            Some(r) => (r.internal(u), r.internal(v)),
-            None => (u, v),
-        };
         // Decide effectiveness first: a no-op event (duplicate insert,
         // absent remove) must neither touch the overlay nor invalidate
         // the cached publication.
@@ -431,52 +390,16 @@ impl GraphStore {
     /// Folds the overlay into a fresh CSR base via the streaming
     /// [`CsrGraph::from_edge_iter`] path. The logical graph and the
     /// version are unchanged; published snapshots keep their old `Arc`s
-    /// and are never stalled. A degree-ordered base keeps its labeling
-    /// (unless [`GraphStore::set_degree_order_refresh`] is on, in which
-    /// case the ordering is re-derived from current degrees). Returns
-    /// `false` (and does nothing) when the overlay is already empty and
-    /// no relabeling refresh is pending.
+    /// and are never stalled. Returns `false` (and does nothing) when the
+    /// overlay is already empty.
     pub fn compact(&mut self) -> bool {
-        if self.overlay.touched_lists() == 0 && !self.refresh_degree_order {
+        if self.overlay.touched_lists() == 0 {
             return false;
         }
         // The cached publication points at the pre-fold representation;
         // republish from the fresh base so old overlay Arcs can drop.
         *self.published.get_mut().expect("snapshot cache poisoned") = None;
-        let n = self.num_nodes();
-        let base_remap = self.overlay.base().node_remap().cloned();
-        let folded = if self.refresh_degree_order {
-            // Externalize the live edge set, then relabel it by current
-            // out-degree. The extra intermediate CSR keeps the ordering
-            // derivation in external space regardless of the old labels.
-            let external = match &base_remap {
-                None => CsrGraph::from_edge_iter(n, self.overlay.edges_iter()),
-                Some(r) => {
-                    let r = Arc::clone(r);
-                    CsrGraph::from_edge_iter(
-                        n,
-                        self.overlay
-                            .edges_iter()
-                            .map(move |(u, v)| (r.external(u), r.external(v))),
-                    )
-                }
-            };
-            CsrGraph::degree_ordered_from(&external)
-        } else {
-            match &base_remap {
-                None => CsrGraph::from_edge_iter(n, self.overlay.edges_iter()),
-                Some(r) => {
-                    let map = Arc::clone(r);
-                    CsrGraph::from_external_edge_iter(
-                        n,
-                        self.overlay
-                            .edges_iter()
-                            .map(move |(u, v)| (map.external(u), map.external(v))),
-                        Some(Arc::clone(r)),
-                    )
-                }
-            }
-        };
+        let folded = CsrGraph::from_edge_iter(self.num_nodes(), self.overlay.edges_iter());
         debug_assert_eq!(folded.num_edges(), self.num_edges());
         self.overlay = OverlayGraph::new(Arc::new(folded));
         self.compactions += 1;
@@ -511,13 +434,9 @@ impl GraphStore {
     }
 
     /// True when the directed edge exists in the current live state.
-    /// Like the mutation API, `u` and `v` are **external** ids.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        match self.overlay.base().node_remap() {
-            Some(r) => self.overlay.has_edge(r.internal(u), r.internal(v)),
-            None => self.overlay.has_edge(u, v),
-        }
+        self.overlay.has_edge(u, v)
     }
 
     /// Iterates the live edges in `(source, target)` order, sorted,
@@ -554,11 +473,6 @@ impl GraphView for GraphStore {
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.overlay.out_neighbors(v)
     }
-
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<crate::relabel::NodeRemap>> {
-        self.overlay.base().node_remap()
-    }
 }
 
 struct SnapshotState {
@@ -590,19 +504,10 @@ impl GraphSnapshot {
         self.inner.version
     }
 
-    /// True when the directed edge exists in this snapshot. Ids are in
-    /// the snapshot's storage space (internal when the base is
-    /// degree-ordered — such rows sort by external key, and the search
-    /// compares accordingly).
+    /// True when the directed edge exists in this snapshot.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        match self.inner.base.node_remap() {
-            None => self.out_neighbors(u).binary_search(&v).is_ok(),
-            Some(r) => self
-                .out_neighbors(u)
-                .binary_search_by_key(&r.external(v), |&t| r.external(t))
-                .is_ok(),
-        }
+        self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Materializes this snapshot as a standalone [`CsrGraph`] (the
@@ -651,11 +556,6 @@ impl GraphView for GraphSnapshot {
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         let state = &*self.inner;
         resolve(&state.out, v, state.base.out_neighbors(v))
-    }
-
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<crate::relabel::NodeRemap>> {
-        self.inner.base.node_remap()
     }
 }
 

@@ -5,9 +5,6 @@
 //! [`crate::DynamicGraph`] implement it, which is what lets ProbeSim answer
 //! queries on a live, updating graph with zero preprocessing.
 
-use std::sync::Arc;
-
-use crate::relabel::NodeRemap;
 use crate::{Edge, NodeId};
 
 /// Read-only access to a directed graph with dense node ids `0..n`.
@@ -80,18 +77,6 @@ pub trait GraphView {
         (0..self.num_nodes() as NodeId)
             .flat_map(|u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
-
-    /// The external ⇄ internal node relabeling this view stores its
-    /// adjacency under, when it was built degree-ordered
-    /// ([`crate::CsrGraph::degree_ordered_from`]). `None` (the default)
-    /// means ids in this view *are* the caller's external ids.
-    ///
-    /// Sessions translate queries through this exactly once at the
-    /// boundary; algorithms themselves stay label-oblivious.
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<NodeRemap>> {
-        None
-    }
 }
 
 impl<G: GraphView + ?Sized> GraphView for &G {
@@ -122,10 +107,6 @@ impl<G: GraphView + ?Sized> GraphView for &G {
     #[inline]
     fn out_degree(&self, v: NodeId) -> usize {
         (**self).out_degree(v)
-    }
-    #[inline]
-    fn node_remap(&self) -> Option<&Arc<NodeRemap>> {
-        (**self).node_remap()
     }
 }
 

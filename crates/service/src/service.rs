@@ -91,24 +91,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enables the intra-query parallel sweep
-    /// ([`probesim_core::Optimizations::parallel_sweep`]) on every worker
-    /// session, with `threads` scoped expansion threads per query (`0`
-    /// auto-sizes, capped at 8).
-    ///
-    /// This budget multiplies with [`ServiceBuilder::workers`]: a service
-    /// with `workers(w)` and `sweep_threads(t)` can have up to `w · t`
-    /// threads expanding frontiers at once. Prefer inter-query
-    /// parallelism (`workers`) for throughput under concurrent load, and
-    /// reserve `sweep_threads` for latency-sensitive deployments with
-    /// few concurrent queries over large graphs — and size `w · t` to
-    /// the machine. Answers are bit-identical either way.
-    pub fn sweep_threads(mut self, threads: usize) -> ServiceBuilder {
-        self.config.optimizations.parallel_sweep = true;
-        self.config.optimizations.sweep_threads = threads;
-        self
-    }
-
     /// Builds the service around `store`, taking ownership: the store
     /// becomes the service's single-writer state, its mutation observer
     /// is wired to the result cache's invalidation, and the worker pool
@@ -672,27 +654,6 @@ mod tests {
             .unwrap();
         assert_eq!(response.output.scores, direct.scores);
         assert_eq!(response.output.stats, direct.stats);
-    }
-
-    #[test]
-    fn sweep_threads_service_answers_bit_identically() {
-        // Intra-query parallelism on top of the worker pool must be
-        // invisible in the answers: same scores, same counters.
-        let sequential = toy_service(0);
-        let parallel =
-            ServiceBuilder::new(ProbeSimConfig::new(TOY_DECAY, 0.05, 0.01).with_seed(0xBEEF))
-                .workers(2)
-                .sweep_threads(2)
-                .cache_capacity(0)
-                .retained_versions(4)
-                .build(GraphStore::from_view(&toy_graph()));
-        for node in 0..8 {
-            let query = Request::new(Query::SingleSource { node });
-            let a = sequential.call(query).unwrap();
-            let b = parallel.call(query).unwrap();
-            assert_eq!(a.output.scores, b.output.scores, "node {node}");
-            assert_eq!(a.output.stats, b.output.stats, "node {node}");
-        }
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn query(args: &[String]) -> Result<(), String> {
     };
     // Session construction (O(n) scratch) stays outside the timed region
     // so the reported time measures the query alone, on both paths.
-    fn timed_run<G: GraphView + Sync>(
+    fn timed_run<G: GraphView>(
         mut session: QuerySession<G>,
         query: Query,
     ) -> (Result<QueryOutput, QueryError>, f64) {
