@@ -273,7 +273,7 @@ impl Tsf {
 mod tests {
     use super::*;
     use probesim_graph::toy::{toy_graph, A, D, TABLE2, TOY_DECAY};
-    use probesim_graph::{CsrGraph, DynamicGraph};
+    use probesim_graph::{CsrGraph, GraphStore};
 
     fn toy_tsf(rg: usize, rq: usize) -> (CsrGraph, Tsf) {
         let g = toy_graph();
@@ -337,7 +337,7 @@ mod tests {
     fn insertion_maintenance_matches_rebuild_distribution() {
         // After inserting an edge, the fraction of one-way graphs pointing
         // v at each in-neighbor should stay ≈ uniform.
-        let mut g = DynamicGraph::from_edges(4, &[(0, 3), (1, 3)]);
+        let mut g = GraphStore::from_edges(4, &[(0, 3), (1, 3)]);
         let mut tsf = Tsf::build(
             &g,
             TsfConfig {
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn removal_maintenance_repoints_only_affected_graphs() {
-        let mut g = DynamicGraph::from_edges(3, &[(0, 2), (1, 2)]);
+        let mut g = GraphStore::from_edges(3, &[(0, 2), (1, 2)]);
         let mut tsf = Tsf::build(
             &g,
             TsfConfig {
@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn removal_to_zero_in_degree_clears_pointer() {
-        let mut g = DynamicGraph::from_edges(2, &[(0, 1)]);
+        let mut g = GraphStore::from_edges(2, &[(0, 1)]);
         let mut tsf = Tsf::build(
             &g,
             TsfConfig {

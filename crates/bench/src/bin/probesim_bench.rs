@@ -2,7 +2,7 @@
 //!
 //! Executes named, seeded scenarios (static query mixes, batch modes,
 //! session-reuse streams, and update-interleaved dynamic workloads on a
-//! live `DynamicGraph`), prints a summary table, writes machine-readable
+//! live `GraphStore`), prints a summary table, writes machine-readable
 //! `BENCH_<scenario>.json` reports, and gates against a committed
 //! baseline:
 //!

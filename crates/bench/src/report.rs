@@ -1031,7 +1031,7 @@ pub fn compare(
                 threshold: thresholds.latency,
             });
         }
-        // Dynamic scenarios also gate the update path: a DynamicGraph
+        // Dynamic scenarios also gate the update path: a GraphStore
         // insert/remove slowdown leaves query latency and work counters
         // untouched, so without this signal it would sail through. The
         // noise floor keeps sub-microsecond medians (timer resolution)

@@ -1169,7 +1169,7 @@ fn run_dynamic(
     // The overlay-backed store is the serving path: updates mutate the
     // copy-on-write overlay, every query binds a fresh published
     // snapshot. Identical edge sets mean identical estimates and work
-    // counters to the old direct-DynamicGraph path, bit for bit.
+    // counters to a scratch CSR rebuild, bit for bit.
     let mut store = GraphStore::from_view(&graph);
     drop(graph);
     let start_edges = store.num_edges();

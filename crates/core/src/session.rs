@@ -111,16 +111,13 @@ pub enum QueryError {
     /// The graph's node count changed after the session was created.
     ///
     /// A [`QuerySession`]'s workspace and accumulator slabs are sized for
-    /// the node count at construction. `DynamicGraph::add_nodes` (reached
-    /// through interior mutability or a fresh borrow between sessions'
-    /// lifetimes being juggled by a wrapper type) can grow `n` past that
-    /// size; executing anyway would index out of bounds. Rebuild the
-    /// session against the resized graph instead.
-    ///
-    /// Structurally impossible for graphs with
-    /// [`GraphView::STABLE_NODE_COUNT`] — a session bound to a
-    /// `CsrGraph` or an owned `GraphSnapshot` skips the guard at compile
-    /// time and can never return this variant.
+    /// the node count at construction. Every graph type in this workspace
+    /// fixes its node count (`CsrGraph`, `GraphStore` and its
+    /// `GraphSnapshot`s mutate edges, never the vertex set), but a
+    /// [`GraphView`] implemented elsewhere may grow `n` past that size
+    /// behind a shared borrow (interior mutability); executing anyway
+    /// would index out of bounds. Rebuild the session against the
+    /// resized graph instead.
     GraphResized {
         /// Node count the session's scratch was sized for.
         session_nodes: usize,
@@ -465,9 +462,9 @@ pub struct BatchOutput {
 /// binds a borrow (the classic mode), while
 /// `engine.session(store.snapshot())` binds an *owned*
 /// `GraphSnapshot` — an `'static` session that can move to another
-/// thread and outlive the store that published it. Because a snapshot's
-/// node count is fixed ([`GraphView::STABLE_NODE_COUNT`]), the
-/// [`QueryError::GraphResized`] guard compiles away on that path.
+/// thread and outlive the store that published it. A snapshot's node
+/// count is fixed, so [`QueryError::GraphResized`] never fires on that
+/// path.
 ///
 /// ```
 /// use probesim_core::{ProbeSim, ProbeSimConfig, Query};
@@ -488,8 +485,7 @@ pub struct QuerySession<G: GraphView> {
     engine: ProbeSim,
     graph: G,
     /// Node count the scratch slabs were sized for; re-checked against the
-    /// graph on every `run` (see [`QueryError::GraphResized`]) unless the
-    /// graph type guarantees a stable count.
+    /// graph on every `run` (see [`QueryError::GraphResized`]).
     session_nodes: usize,
     ws: ProbeWorkspace,
     acc: SparseAccumulator,
@@ -503,9 +499,9 @@ pub struct QuerySession<G: GraphView> {
 impl<G: GraphView> QuerySession<G> {
     /// Binds `engine`'s configuration to `graph` (a borrow or an owned
     /// view — see [`ProbeSim::session`]). Scratch buffers are sized for
-    /// the graph's current node count; if the graph's `n` grows
-    /// afterwards (e.g. `DynamicGraph::add_nodes` reached through a
-    /// wrapper with interior mutability), `run` reports
+    /// the graph's current node count; if the graph's `n` changes
+    /// afterwards (possible only for a [`GraphView`] implemented outside
+    /// this workspace, through interior mutability), `run` reports
     /// [`QueryError::GraphResized`] instead of indexing out of bounds.
     pub fn new(engine: &ProbeSim, graph: G) -> Self {
         let n = graph.num_nodes();
@@ -632,22 +628,9 @@ impl<G: GraphView> QuerySession<G> {
     /// workspace stays valid for any `n ≤ session_nodes` and node-range
     /// validation uses the *current* count — but a changed count in either
     /// direction means the session no longer matches the graph, so both
-    /// directions are rejected for predictability.
-    ///
-    /// For graph types that declare [`GraphView::STABLE_NODE_COUNT`]
-    /// (immutable `CsrGraph`, owned `GraphSnapshot`) the branch below is
-    /// resolved at compile time: the guard costs nothing and
-    /// [`QueryError::GraphResized`] is unreachable — witnessed by a
-    /// `debug_assert` instead of a per-run runtime check.
+    /// directions are rejected for predictability. One `num_nodes` call
+    /// per run, against runs that take milliseconds.
     fn check_unresized(&self) -> Result<(), QueryError> {
-        if G::STABLE_NODE_COUNT {
-            debug_assert_eq!(
-                self.graph.num_nodes(),
-                self.session_nodes,
-                "a STABLE_NODE_COUNT graph changed its node count"
-            );
-            return Ok(());
-        }
         let graph_nodes = self.graph.num_nodes();
         if graph_nodes != self.session_nodes {
             return Err(QueryError::GraphResized {
@@ -783,7 +766,7 @@ impl ProbeSim {
     /// entry point:
     ///
     /// * `engine.session(&graph)` — borrow a `CsrGraph` /
-    ///   `DynamicGraph` (the classic mode; the borrow checker keeps the
+    ///   `GraphStore` (the classic mode; the borrow checker keeps the
     ///   graph alive and un-mutated for the session's lifetime);
     /// * `engine.session(store.snapshot())` — own a
     ///   `GraphSnapshot`: the session is `'static`, can move across
@@ -1019,11 +1002,11 @@ mod tests {
         assert!(validate(&g, &Query::SingleSource { node: A }).is_ok());
     }
 
-    /// A graph whose node count can grow behind a shared borrow — the
-    /// shape of bugs where `DynamicGraph::add_nodes` outruns a session's
-    /// slab sizing (e.g. a service holding the graph in a lock and
-    /// recreating sessions lazily). Atomic-backed so a shared borrow can
-    /// grow it.
+    /// A graph whose node count can grow behind a shared borrow — a
+    /// [`GraphView`] implemented outside the workspace that outruns a
+    /// session's slab sizing (e.g. a service holding the graph in a lock
+    /// and recreating sessions lazily). Atomic-backed so a shared borrow
+    /// can grow it.
     struct GrowableGraph {
         inner: CsrGraph,
         extra_nodes: std::sync::atomic::AtomicUsize,
@@ -1128,30 +1111,6 @@ mod tests {
         let after = pinned.run(Query::SingleSource { node: A }).unwrap();
         assert_eq!(before.scores, after.scores, "snapshot isolation broken");
         assert_eq!(pinned.queries_run(), 2);
-    }
-
-    #[test]
-    fn stable_node_count_compiles_the_resize_guard_away() {
-        use probesim_graph::GraphStore;
-        // The type-level witness: CsrGraph and GraphSnapshot promise a
-        // stable count, the atomic-backed growable wrapper cannot. Const
-        // blocks: these are compile-time facts, not runtime checks.
-        const {
-            assert!(<CsrGraph as GraphView>::STABLE_NODE_COUNT);
-            assert!(<&CsrGraph as GraphView>::STABLE_NODE_COUNT);
-            assert!(<probesim_graph::GraphSnapshot as GraphView>::STABLE_NODE_COUNT);
-            assert!(!<probesim_graph::DynamicGraph as GraphView>::STABLE_NODE_COUNT);
-            assert!(!<GrowableGraph as GraphView>::STABLE_NODE_COUNT);
-        }
-
-        // And the behavioral consequence: a session over an owned
-        // snapshot runs thousands of queries without ever consulting the
-        // resize guard (it cannot fail — no GraphResized is observable).
-        let store = GraphStore::from_view(&toy_graph());
-        let mut session = engine(0.1).session(store.snapshot());
-        for _ in 0..64 {
-            assert!(session.run(Query::SingleSource { node: A }).is_ok());
-        }
     }
 
     #[test]

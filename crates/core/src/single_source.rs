@@ -24,7 +24,7 @@ use crate::workspace::ProbeWorkspace;
 ///
 /// Holds only configuration — there is no index to build or maintain, so
 /// the same engine answers queries against any [`GraphView`], including a
-/// live [`probesim_graph::DynamicGraph`] between updates.
+/// live [`probesim_graph::GraphStore`] between updates.
 #[derive(Debug, Clone)]
 pub struct ProbeSim {
     config: ProbeSimConfig,
@@ -317,7 +317,7 @@ mod tests {
     use super::*;
     use crate::config::Optimizations;
     use probesim_graph::toy::{toy_graph, A, D, TABLE2, TOY_DECAY};
-    use probesim_graph::{CsrGraph, DynamicGraph};
+    use probesim_graph::{CsrGraph, GraphStore};
 
     fn toy_config(epsilon: f64) -> ProbeSimConfig {
         ProbeSimConfig::new(TOY_DECAY, epsilon, 0.01).with_seed(0xBEEF)
@@ -449,7 +449,7 @@ mod tests {
     fn works_on_dynamic_graph_and_tracks_updates() {
         // Remove every edge into/out of g's community and verify scores
         // react: an isolated query node has similarity 0 to everyone.
-        let mut g = DynamicGraph::from_edges(8, &probesim_graph::toy::toy_edges());
+        let mut g = GraphStore::from_edges(8, &probesim_graph::toy::toy_edges());
         let engine = ProbeSim::new(toy_config(0.05));
         let before = engine.single_source(&g, A);
         assert!(before.scores[D as usize] > 0.05);

@@ -33,7 +33,7 @@
 //!
 //! For dynamic workloads, [`stream`] generates seeded update streams
 //! ([`stream::SlidingWindowStream`]) that the benchmark scenarios and
-//! churn tests replay against a live `DynamicGraph`.
+//! churn tests replay against a live `GraphStore`.
 
 pub mod alias;
 pub mod gens;

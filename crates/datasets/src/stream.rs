@@ -13,11 +13,12 @@
 //! live edge count constant, as in "Dynamical SimRank Search on
 //! Time-Varying Networks").
 
-use probesim_graph::{DynamicGraph, GraphUpdate, NodeId};
+use probesim_graph::{CsrGraph, GraphUpdate, NodeId, OverlayGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A seeded sliding-window edge stream over `n` nodes.
 ///
@@ -31,9 +32,9 @@ use std::collections::VecDeque;
 ///
 /// ```
 /// use probesim_datasets::stream::SlidingWindowStream;
-/// use probesim_graph::{DynamicGraph, GraphView};
+/// use probesim_graph::{GraphStore, GraphView};
 ///
-/// let mut graph = DynamicGraph::new(50);
+/// let mut graph = GraphStore::new(50);
 /// let mut stream = SlidingWindowStream::new(50, 100, 7);
 /// for update in stream.by_ref().take(300) {
 ///     assert!(graph.apply(update), "stream events always change the graph");
@@ -129,22 +130,25 @@ impl Iterator for SlidingWindowStream {
     }
 }
 
-/// Materializes a warmed-up sliding-window workload: a [`DynamicGraph`]
-/// filled to the full `window`, plus the next `events` stream updates to
-/// replay against it. The benchmark scenarios and churn tests both start
-/// from this state so measurements cover the steady-state regime, not the
+/// Materializes a warmed-up sliding-window workload: a graph filled to
+/// the full `window`, plus the next `events` stream updates to replay
+/// against it. The benchmark scenarios and churn tests both start from
+/// this state so measurements cover the steady-state regime, not the
 /// fill-up ramp.
+///
+/// The first `window` events are distinct non-loop inserts, so the warm
+/// graph is built in one pass as an untouched overlay over their CSR —
+/// [`OverlayGraph::snapshot`] or `GraphStore::from_view` turn it into
+/// the form a caller queries or mutates.
 pub fn sliding_window_workload(
     n: usize,
     window: usize,
     events: usize,
     seed: u64,
-) -> (DynamicGraph, Vec<GraphUpdate>) {
+) -> (OverlayGraph, Vec<GraphUpdate>) {
     let mut stream = SlidingWindowStream::new(n, window, seed);
-    let mut graph = DynamicGraph::new(n);
-    for update in stream.by_ref().take(window) {
-        graph.apply(update);
-    }
+    let warm: Vec<(NodeId, NodeId)> = stream.by_ref().take(window).map(|e| e.edge()).collect();
+    let graph = OverlayGraph::new(Arc::new(CsrGraph::from_edges(n, &warm)));
     let updates = stream.take(events).collect();
     (graph, updates)
 }
@@ -152,7 +156,7 @@ pub fn sliding_window_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probesim_graph::GraphView;
+    use probesim_graph::{GraphStore, GraphView};
 
     #[test]
     fn stream_is_deterministic() {
@@ -165,7 +169,7 @@ mod tests {
 
     #[test]
     fn every_event_changes_the_graph() {
-        let mut graph = DynamicGraph::new(30);
+        let mut graph = GraphStore::new(30);
         for update in SlidingWindowStream::new(30, 50, 11).take(400) {
             assert!(graph.apply(update), "no-op event {update:?}");
         }
@@ -174,7 +178,7 @@ mod tests {
     #[test]
     fn window_bounds_live_edges() {
         let window = 25;
-        let mut graph = DynamicGraph::new(20);
+        let mut graph = GraphStore::new(20);
         let mut stream = SlidingWindowStream::new(20, window, 3);
         // 25 fill-up inserts + 100 full remove/insert pairs: ends full.
         for (i, update) in stream.by_ref().take(window + 200).enumerate() {
@@ -225,11 +229,21 @@ mod tests {
         let (graph, updates) = sliding_window_workload(50, 80, 120, 17);
         assert_eq!(graph.num_edges(), 80);
         assert_eq!(updates.len(), 120);
-        // Steady state: replaying alternates remove/insert and keeps the
-        // window full.
-        let mut g = graph.clone();
+        // The one-pass warm graph equals replaying the first `window`
+        // events of the same seeded stream one update at a time...
+        let mut replayed = GraphStore::new(50);
+        let mut stream = SlidingWindowStream::new(50, 80, 17);
+        for update in stream.by_ref().take(80) {
+            assert!(replayed.apply(update));
+        }
+        assert_eq!(graph.snapshot(), replayed.snapshot().to_csr());
+        // ...and leaves the stream exactly where the replay left it.
+        assert_eq!(updates, stream.take(120).collect::<Vec<_>>());
+        // Steady state: every update is effective in order, replaying
+        // alternates remove/insert and keeps the window full.
+        let mut g = GraphStore::from_view(&graph);
         for &update in &updates {
-            assert!(g.apply(update));
+            assert!(g.apply(update), "no-op event {update:?}");
             assert!(g.num_edges() == 80 || g.num_edges() == 79);
         }
         assert_eq!(g.num_edges(), 80);

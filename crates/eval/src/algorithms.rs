@@ -9,7 +9,7 @@
 //! [`SimRankAlgorithm`] is generic over the graph representation
 //! (`G: GraphView`, default [`CsrGraph`]), so the same roster runs against
 //! an immutable CSR snapshot *or* a live
-//! [`probesim_graph::DynamicGraph`] — the paper's dynamic-graph story can
+//! [`probesim_graph::GraphStore`] — the paper's dynamic-graph story can
 //! be driven through the harness end-to-end. Every adapter implements the
 //! trait for all `G: GraphView`.
 
@@ -249,7 +249,7 @@ mod tests {
     use super::*;
     use probesim_baselines::TopSimVariant;
     use probesim_graph::toy::{toy_edges, toy_graph, A, D, TOY_DECAY};
-    use probesim_graph::DynamicGraph;
+    use probesim_graph::GraphStore;
 
     fn all_toy_algorithms<G: GraphView>() -> Vec<Box<dyn SimRankAlgorithm<G>>> {
         vec![
@@ -300,13 +300,13 @@ mod tests {
 
     #[test]
     fn every_algorithm_runs_on_a_dynamic_graph() {
-        // The same roster, driven against a live DynamicGraph instead of a
+        // The same roster, driven against a live GraphStore instead of a
         // CSR snapshot — the trait's graph-generality in one test.
-        let g = DynamicGraph::from_edges(8, &toy_edges());
-        for mut algo in all_toy_algorithms::<DynamicGraph>() {
+        let g = GraphStore::from_edges(8, &toy_edges());
+        for mut algo in all_toy_algorithms::<GraphStore>() {
             algo.prepare(&g);
             let top = algo.top_k(&g, A, 1);
-            assert_eq!(top[0].0, D, "{} on DynamicGraph: {:?}", algo.name(), top[0]);
+            assert_eq!(top[0].0, D, "{} on GraphStore: {:?}", algo.name(), top[0]);
         }
     }
 

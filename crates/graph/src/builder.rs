@@ -5,9 +5,9 @@
 //! [`GraphBuilder`] performs that normalization once, so the query-time
 //! structures can stay permissive and fast.
 
-use crate::{CsrGraph, DynamicGraph, Edge, NodeId};
+use crate::{CsrGraph, Edge, NodeId};
 
-/// Builds a clean [`CsrGraph`] (or [`DynamicGraph`]) from raw edges.
+/// Builds a clean [`CsrGraph`] from raw edges.
 ///
 /// # Example
 ///
@@ -116,11 +116,6 @@ impl GraphBuilder {
     pub fn build_csr(&self) -> CsrGraph {
         CsrGraph::from_edges(self.num_nodes, &self.cleaned_edges())
     }
-
-    /// Finalizes into a mutable [`DynamicGraph`].
-    pub fn build_dynamic(&self) -> DynamicGraph {
-        DynamicGraph::from_edges(self.num_nodes, &self.cleaned_edges())
-    }
 }
 
 #[cfg(test)]
@@ -194,14 +189,6 @@ mod tests {
         let b = GraphBuilder::new(4).extend_edges(vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(b.raw_edge_count(), 3);
         assert_eq!(b.build_csr().num_edges(), 3);
-    }
-
-    #[test]
-    fn builds_equivalent_dynamic_and_csr() {
-        let b = GraphBuilder::new(4).extend_edges(vec![(0, 1), (1, 2), (0, 3)]);
-        let c = b.build_csr();
-        let d = b.build_dynamic();
-        assert_eq!(c, d.snapshot());
     }
 
     #[test]

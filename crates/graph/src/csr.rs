@@ -53,7 +53,7 @@ impl CsrGraph {
     /// Builds a graph with `n` nodes from any re-iterable edge source,
     /// without materializing an intermediate `Vec<Edge>` — the
     /// constructor behind [`CsrGraph::from_edges`] and
-    /// [`crate::DynamicGraph::snapshot`].
+    /// [`crate::OverlayGraph::snapshot`].
     ///
     /// The iterator is consumed twice (degree-counting pass, then fill
     /// pass), so it must be `Clone` and yield the same edges both times.
@@ -149,10 +149,6 @@ impl CsrGraph {
 }
 
 impl GraphView for CsrGraph {
-    /// A CSR graph is immutable after construction: its node count can
-    /// never change while any borrow of it is alive.
-    const STABLE_NODE_COUNT: bool = true;
-
     #[inline]
     fn num_nodes(&self) -> usize {
         self.num_nodes

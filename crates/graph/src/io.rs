@@ -22,6 +22,25 @@ const MAGIC: &[u8; 4] = b"PSIM";
 /// Format version, bumped on layout changes.
 const VERSION: u32 = 1;
 
+/// Reads a graph file in either format, told apart by its first bytes:
+/// a file that opens with the binary `PSIM` magic reports the binary
+/// reader's errors as they are (a truncated or padded `.psim` file is
+/// `GraphError::Corrupt`, not a text parse failure), and any other file
+/// is parsed as a text edge list (labels dropped).
+pub fn read_graph_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
+    let mut file = File::open(path)?;
+    let mut head = Vec::with_capacity(MAGIC.len());
+    (&mut file)
+        .take(MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    let reader = head.as_slice().chain(file);
+    if head == MAGIC {
+        read_binary(reader)
+    } else {
+        read_edge_list_text(BufReader::new(reader)).map(|(graph, _labels)| graph)
+    }
+}
+
 /// Little-endian append helpers (the `bytes::BufMut` subset this file
 /// needs, implemented on `Vec<u8>` so the format has no external deps).
 trait PutExt {
@@ -366,6 +385,55 @@ mod tests {
         buf.put_u32_le(7);
         let err = read_binary(Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 7, .. }));
+    }
+
+    /// Writes `bytes` to a fresh temp file and reads it back through the
+    /// format-sniffing entry point.
+    fn read_sniffed(name: &str, bytes: &[u8]) -> Result<CsrGraph, GraphError> {
+        let dir = std::env::temp_dir().join("probesim_io_sniff_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let result = read_graph_file(&path);
+        std::fs::remove_file(&path).ok();
+        result
+    }
+
+    /// A binary file large enough to cut mid-payload at 200 bytes.
+    fn binary_bytes() -> Vec<u8> {
+        let edges: Vec<Edge> = (0..40).map(|i| (i, (i + 1) % 40)).collect();
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &CsrGraph::from_edges(40, &edges)).unwrap();
+        assert!(buf.len() > 200);
+        buf
+    }
+
+    #[test]
+    fn sniffing_reads_both_formats() {
+        let bytes = binary_bytes();
+        assert_eq!(read_sniffed("whole.psim", &bytes).unwrap().num_edges(), 40);
+        let text = read_sniffed("g.txt", b"# comment\n10 20\n20 30\n").unwrap();
+        assert_eq!((text.num_nodes(), text.num_edges()), (3, 2));
+        // Too short to hold the magic: still text.
+        assert_eq!(read_sniffed("tiny.txt", b"").unwrap().num_nodes(), 0);
+    }
+
+    #[test]
+    fn sniffing_reports_a_truncated_binary_file_as_corrupt() {
+        let mut bytes = binary_bytes();
+        bytes.truncate(200);
+        let err = read_sniffed("cut.psim", &bytes).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().starts_with("corrupt graph file"), "{err}");
+    }
+
+    #[test]
+    fn sniffing_reports_a_padded_binary_file_as_corrupt() {
+        let mut bytes = binary_bytes();
+        bytes.extend_from_slice(&[0; 8]);
+        let err = read_sniffed("padded.psim", &bytes).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().starts_with("corrupt graph file"), "{err}");
     }
 
     #[test]

@@ -8,17 +8,15 @@
 //! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row graph
 //!   storing *both* out-adjacency and in-adjacency (SimRank walks follow
 //!   in-edges; PROBE traversals follow out-edges).
-//! * [`DynamicGraph`] — a mutable adjacency-list graph supporting edge
-//!   insertion and deletion. ProbeSim is index-free, so queries can run
-//!   directly against a live [`DynamicGraph`]; a [`CsrGraph`] snapshot can be
-//!   taken at any time for maximum query throughput.
-//! * [`GraphStore`] — the versioned store: an immutable CSR base plus a
-//!   per-node copy-on-write [`OverlayGraph`], publishing `Arc`-cheap
-//!   [`GraphSnapshot`]s that reader threads query while the single
-//!   writer keeps applying updates, with threshold-driven compaction
-//!   back into a fresh CSR.
-//! * [`GraphView`] — the trait both implement; every algorithm in the
-//!   workspace is generic over it.
+//! * [`GraphStore`] — the mutable graph: an immutable CSR base plus a
+//!   per-node copy-on-write [`OverlayGraph`] under [`GraphUpdate`]
+//!   insertions and deletions. ProbeSim is index-free, so queries run
+//!   directly against the live store, or against the `Arc`-cheap
+//!   [`GraphSnapshot`]s it publishes to reader threads while the single
+//!   writer keeps applying updates; threshold-driven compaction folds the
+//!   overlay back into a fresh CSR.
+//! * [`GraphView`] — the trait they all implement; every algorithm in
+//!   the workspace is generic over it.
 //! * [`GraphBuilder`] — edge-list ingestion with de-duplication, self-loop
 //!   removal and undirected symmetrization.
 //! * [`io`] — plain-text and binary edge-list readers/writers.
@@ -31,15 +29,17 @@
 //!
 //! ## Storage tiers
 //!
-//! Three representations cover the read/write spectrum; all implement
-//! [`GraphView`], so every algorithm runs on any of them unchanged and
+//! Two representations cover the read/write spectrum; both implement
+//! [`GraphView`], so every algorithm runs on either unchanged and
 //! returns bit-for-bit identical estimates for identical edge sets:
 //!
 //! | Tier | Mutability | Concurrency | Use when |
 //! |---|---|---|---|
 //! | [`CsrGraph`] | immutable | share `&` freely | static workloads, maximum query throughput |
-//! | [`DynamicGraph`] | `&mut` insert/remove | single thread, alternate updates and queries | simple scripts, growing node sets (`add_nodes`) |
-//! | [`GraphStore`] | single writer | readers hold [`GraphSnapshot`]s, never block | serving queries *while* updates stream in |
+//! | [`GraphStore`] | single writer | query the store between updates, or hand readers [`GraphSnapshot`]s that never block | graphs under edge updates |
+//!
+//! Both fix the node count at construction: updates change edges, never
+//! the vertex set.
 //!
 //! The store's overlay keeps untouched nodes on the base's CSR slices
 //! (cold path: one emptiness check), materializes a touched node's
@@ -54,7 +54,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod dynamic;
 pub mod error;
 pub mod hash;
 pub mod io;
@@ -66,12 +65,13 @@ pub mod view;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use dynamic::{DynamicGraph, GraphUpdate};
 pub use error::GraphError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use overlay::OverlayGraph;
 pub use stats::DegreeStats;
-pub use store::{Commit, CompactionPolicy, GraphSnapshot, GraphStore, MutationObserver};
+pub use store::{
+    Commit, CompactionPolicy, GraphSnapshot, GraphStore, GraphUpdate, MutationObserver,
+};
 pub use view::GraphView;
 
 /// Dense node identifier. Graphs in this workspace address nodes as

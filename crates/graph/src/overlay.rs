@@ -50,14 +50,13 @@ pub(crate) fn resolve<'a>(map: &'a FrozenAdj, v: NodeId, base: &'a [NodeId]) -> 
 /// per-node copy-on-write delta.
 ///
 /// Adjacency lists (both directions) stay sorted and deduplicated — the
-/// same [`GraphView`] contract as [`CsrGraph`] and
-/// [`crate::DynamicGraph`] — so every query algorithm runs against an
-/// overlay unchanged, and answers are bit-for-bit identical to a
-/// from-scratch CSR rebuild of the same edge set.
+/// same [`GraphView`] contract as [`CsrGraph`] — so every query algorithm
+/// runs against an overlay unchanged, and answers are bit-for-bit
+/// identical to a from-scratch CSR rebuild of the same edge set
+/// ([`OverlayGraph::snapshot`]).
 ///
 /// The node count is fixed at the base's `n`: the overlay mutates edges,
-/// not the vertex set (the growing-stream path stays on
-/// [`crate::DynamicGraph::add_nodes`]).
+/// not the vertex set.
 #[derive(Debug, Clone)]
 pub struct OverlayGraph {
     base: Arc<CsrGraph>,
@@ -142,8 +141,8 @@ impl OverlayGraph {
     }
 
     /// Inserts the directed edge `u -> v`. Returns `false` when it
-    /// already existed. Panics on out-of-range endpoints, mirroring
-    /// [`crate::DynamicGraph::insert_edge`].
+    /// already existed (the graph stays simple). Panics on out-of-range
+    /// endpoints.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         let n = self.num_nodes();
         assert!(
@@ -187,6 +186,13 @@ impl OverlayGraph {
         true
     }
 
+    /// An immutable CSR copy of the current edge set, streamed straight
+    /// from the adjacency into the CSR builder — no intermediate edge
+    /// `Vec`. Compaction folds the overlay through this.
+    pub fn snapshot(&self) -> CsrGraph {
+        CsrGraph::from_edge_iter(self.num_nodes(), self.edges_iter())
+    }
+
     /// `Arc` clones of the touched lists, for snapshot publication.
     /// O(touched) pointer bumps; no adjacency data is copied.
     pub(crate) fn freeze(&self) -> (FrozenAdj, FrozenAdj) {
@@ -195,10 +201,6 @@ impl OverlayGraph {
 }
 
 impl GraphView for OverlayGraph {
-    /// The overlay mutates edges over a fixed base: `num_nodes` is the
-    /// base's `n` forever.
-    const STABLE_NODE_COUNT: bool = true;
-
     #[inline]
     fn num_nodes(&self) -> usize {
         self.base.num_nodes()
@@ -223,7 +225,8 @@ impl GraphView for OverlayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DynamicGraph;
+    use crate::Edge;
+    use std::collections::BTreeSet;
 
     fn base() -> Arc<CsrGraph> {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -277,9 +280,10 @@ mod tests {
 
     #[test]
     fn matches_dynamic_graph_under_the_same_updates() {
+        // Reference model: a plain edge set, rebuilt into a scratch CSR.
         let edges = [(0u32, 1u32), (1, 2), (2, 0), (3, 1)];
         let mut overlay = OverlayGraph::new(Arc::new(CsrGraph::from_edges(5, &edges)));
-        let mut dynamic = DynamicGraph::from_edges(5, &edges);
+        let mut model: BTreeSet<Edge> = edges.into_iter().collect();
         let script = [
             (true, 4, 0),
             (true, 0, 3),
@@ -295,18 +299,20 @@ mod tests {
                 overlay.remove_edge(u, v)
             };
             let b = if insert {
-                dynamic.insert_edge(u, v)
+                model.insert((u, v))
             } else {
-                dynamic.remove_edge(u, v)
+                model.remove(&(u, v))
             };
             assert_eq!(a, b, "effect of ({insert}, {u}, {v}) diverged");
         }
-        assert_eq!(overlay.num_edges(), dynamic.num_edges());
-        for v in dynamic.nodes() {
-            assert_eq!(overlay.out_neighbors(v), dynamic.out_neighbors(v));
-            assert_eq!(overlay.in_neighbors(v), dynamic.in_neighbors(v));
+        let expect = CsrGraph::from_edge_iter(5, model.iter().copied());
+        assert_eq!(overlay.num_edges(), model.len());
+        for v in expect.nodes() {
+            assert_eq!(overlay.out_neighbors(v), expect.out_neighbors(v));
+            assert_eq!(overlay.in_neighbors(v), expect.in_neighbors(v));
         }
-        assert!(overlay.edges_iter().eq(dynamic.edges_iter()));
+        assert!(overlay.edges_iter().eq(model.iter().copied()));
+        assert_eq!(overlay.snapshot(), expect);
     }
 
     #[test]
@@ -332,7 +338,7 @@ mod tests {
         let mut overlay = OverlayGraph::new(base());
         overlay.insert_edge(3, 0);
         overlay.remove_edge(0, 2);
-        let rebuilt = CsrGraph::from_edge_iter(4, overlay.edges_iter());
+        let rebuilt = overlay.snapshot();
         assert_eq!(rebuilt.num_edges(), overlay.num_edges());
         for v in overlay.nodes() {
             assert_eq!(rebuilt.out_neighbors(v), overlay.out_neighbors(v));

@@ -1,11 +1,12 @@
 //! The versioned graph store: single-writer updates, lock-free
 //! multi-reader snapshots, background compaction.
 //!
-//! ProbeSim's serving story — index-free queries racing a stream of edge
-//! updates — needs a storage engine where **readers never block on
-//! writers**. [`crate::DynamicGraph`] cannot provide that: `insert_edge`
-//! takes `&mut self`, so a service must strictly alternate updates and
-//! queries on one thread. [`GraphStore`] splits the two roles:
+//! ProbeSim is index-free: a query needs nothing but the current graph.
+//! [`GraphStore`] is that graph, the one mutable tier in the workspace.
+//! Scripts and tests query it directly between updates (it implements
+//! [`GraphView`]); a service answering queries *while* updates stream in
+//! needs **readers that never block on the writer**, so the store splits
+//! the two roles:
 //!
 //! * the **writer** owns the store (`&mut self` for
 //!   [`GraphStore::apply`] / [`GraphStore::apply_all`]) and mutates a
@@ -30,10 +31,48 @@
 
 use std::sync::Arc;
 
-use crate::dynamic::GraphUpdate;
 use crate::overlay::{resolve, FrozenAdj, OverlayGraph};
 use crate::view::GraphView;
 use crate::{CsrGraph, Edge, NodeId};
+
+/// One edge-level mutation of a [`GraphStore`].
+///
+/// Update streams — recorded workloads, the sliding-window generators in
+/// `probesim-datasets`, benchmark scenarios, the fleet's update log — are
+/// sequences of these events, applied with [`GraphStore::apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GraphUpdate {
+    /// Insert the directed edge `u -> v`.
+    Insert {
+        /// Edge source.
+        u: NodeId,
+        /// Edge target.
+        v: NodeId,
+    },
+    /// Remove the directed edge `u -> v`.
+    Remove {
+        /// Edge source.
+        u: NodeId,
+        /// Edge target.
+        v: NodeId,
+    },
+}
+
+impl GraphUpdate {
+    /// The `(source, target)` endpoints of the affected edge.
+    #[inline]
+    pub fn edge(self) -> Edge {
+        match self {
+            GraphUpdate::Insert { u, v } | GraphUpdate::Remove { u, v } => (u, v),
+        }
+    }
+
+    /// True for [`GraphUpdate::Insert`].
+    #[inline]
+    pub fn is_insert(self) -> bool {
+        matches!(self, GraphUpdate::Insert { .. })
+    }
+}
 
 /// When [`GraphStore`] folds its overlay back into a fresh CSR base.
 ///
@@ -228,14 +267,15 @@ impl GraphStore {
     }
 
     /// Builds the initial base from an edge list (taken as-is, like
-    /// [`CsrGraph::from_edges`]).
+    /// [`CsrGraph::from_edges`]: duplicates are *not* removed, so pass
+    /// distinct edges or clean them with [`crate::GraphBuilder`]).
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
         Self::from_csr(CsrGraph::from_edges(n, edges))
     }
 
-    /// Promotes any [`GraphView`] (a live [`crate::DynamicGraph`], a
-    /// [`CsrGraph`], …) to a store by streaming its adjacency into a
-    /// fresh CSR base — no intermediate edge `Vec`.
+    /// Promotes any [`GraphView`] (a [`CsrGraph`], an [`OverlayGraph`],
+    /// a [`GraphSnapshot`], …) to a store by streaming its adjacency into
+    /// a fresh CSR base — no intermediate edge `Vec`.
     pub fn from_view<G: GraphView>(graph: &G) -> Self {
         Self::from_csr(CsrGraph::from_edge_iter(
             graph.num_nodes(),
@@ -387,8 +427,8 @@ impl GraphStore {
         changed
     }
 
-    /// Folds the overlay into a fresh CSR base via the streaming
-    /// [`CsrGraph::from_edge_iter`] path. The logical graph and the
+    /// Folds the overlay into a fresh CSR base via
+    /// [`OverlayGraph::snapshot`]. The logical graph and the
     /// version are unchanged; published snapshots keep their old `Arc`s
     /// and are never stalled. Returns `false` (and does nothing) when the
     /// overlay is already empty.
@@ -399,7 +439,7 @@ impl GraphStore {
         // The cached publication points at the pre-fold representation;
         // republish from the fresh base so old overlay Arcs can drop.
         *self.published.get_mut().expect("snapshot cache poisoned") = None;
-        let folded = CsrGraph::from_edge_iter(self.num_nodes(), self.overlay.edges_iter());
+        let folded = self.overlay.snapshot();
         debug_assert_eq!(folded.num_edges(), self.num_edges());
         self.overlay = OverlayGraph::new(Arc::new(folded));
         self.compactions += 1;
@@ -450,10 +490,6 @@ impl GraphStore {
 /// overlay (single-threaded convenience; concurrent readers use
 /// [`GraphSnapshot`]s).
 impl GraphView for GraphStore {
-    /// A store's node count is pinned to its base's `n` — edges mutate,
-    /// the vertex set never does (growth stays on `DynamicGraph`).
-    const STABLE_NODE_COUNT: bool = true;
-
     #[inline]
     fn num_nodes(&self) -> usize {
         self.overlay.num_nodes()
@@ -489,8 +525,7 @@ struct SnapshotState {
 /// Cloning is one `Arc` bump, so a snapshot can be handed to any number
 /// of reader threads (`Send + Sync`); each reads exactly the edge set
 /// that existed at [`GraphSnapshot::version`], no matter what the writer
-/// does afterwards. The node count is fixed at construction, so
-/// [`GraphView::STABLE_NODE_COUNT`] is `true` and a
+/// does afterwards. The node count is fixed at construction, so a
 /// `probesim_core::QuerySession` bound to an owned snapshot can never
 /// observe a resize.
 #[derive(Clone)]
@@ -532,10 +567,6 @@ impl std::fmt::Debug for GraphSnapshot {
 }
 
 impl GraphView for GraphSnapshot {
-    /// A snapshot's node count is fixed at publication — sessions bound
-    /// to an owned snapshot skip the resize guard at compile time.
-    const STABLE_NODE_COUNT: bool = true;
-
     #[inline]
     fn num_nodes(&self) -> usize {
         self.inner.base.num_nodes()
@@ -562,7 +593,7 @@ impl GraphView for GraphSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DynamicGraph;
+    use std::collections::BTreeSet;
 
     fn assert_same_graph<A: GraphView, B: GraphView>(a: &A, b: &B) {
         assert_eq!(a.num_nodes(), b.num_nodes());
@@ -714,7 +745,7 @@ mod tests {
             store.touched_lists()
         );
         // Still the right graph afterwards.
-        let expect = DynamicGraph::from_edges(8, &(0..7).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let expect = CsrGraph::from_edge_iter(8, (0..7).map(|i| (i, i + 1)));
         assert_same_graph(&store, &expect);
     }
 
@@ -725,7 +756,8 @@ mod tests {
                 max_touched_fraction: 0.1,
                 min_touched_lists: 2,
             });
-        let mut dynamic = DynamicGraph::from_edges(5, &[(0, 1), (3, 4)]);
+        // Reference model: a plain edge set, rebuilt into a scratch CSR.
+        let mut model: BTreeSet<Edge> = [(0, 1), (3, 4)].into_iter().collect();
         let updates = [
             GraphUpdate::Insert { u: 1, v: 2 },
             GraphUpdate::Insert { u: 0, v: 1 }, // no-op
@@ -734,12 +766,17 @@ mod tests {
             GraphUpdate::Remove { u: 2, v: 2 }, // no-op
             GraphUpdate::Insert { u: 2, v: 3 },
         ];
-        let a = store.apply_all(updates);
-        let b = dynamic.apply_all(updates);
-        assert_eq!(a, b);
-        assert_eq!(store.version(), a as u64);
-        assert_same_graph(&store, &dynamic);
-        assert!(store.edges_iter().eq(dynamic.edges_iter()));
+        for update in updates {
+            let expect = if update.is_insert() {
+                model.insert(update.edge())
+            } else {
+                model.remove(&update.edge())
+            };
+            assert_eq!(store.apply(update), expect, "{update:?}");
+        }
+        assert_eq!(store.version(), 4);
+        assert_same_graph(&store, &CsrGraph::from_edge_iter(5, model.iter().copied()));
+        assert!(store.edges_iter().eq(model.iter().copied()));
         assert!(store.compactions() > 0, "aggressive policy must compact");
     }
 

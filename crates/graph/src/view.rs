@@ -1,9 +1,11 @@
 //! The [`GraphView`] trait: the read interface every SimRank algorithm in
 //! this workspace is generic over.
 //!
-//! Both the immutable [`crate::CsrGraph`] and the mutable
-//! [`crate::DynamicGraph`] implement it, which is what lets ProbeSim answer
-//! queries on a live, updating graph with zero preprocessing.
+//! The immutable [`crate::CsrGraph`], the mutable [`crate::GraphStore`]
+//! (and its [`crate::OverlayGraph`]) and the store's published
+//! [`crate::GraphSnapshot`]s all implement it, which is what lets
+//! ProbeSim answer queries on a live, updating graph with zero
+//! preprocessing.
 
 use crate::{Edge, NodeId};
 
@@ -14,19 +16,6 @@ use crate::{Edge, NodeId};
 /// `v` (`O(v)`). Both are returned as slices so hot loops can iterate without
 /// allocation or virtual dispatch (callers are generic, not trait objects).
 pub trait GraphView {
-    /// Whether `num_nodes` is guaranteed constant for the entire
-    /// lifetime of a value of this type (no `&mut` growth paths, no
-    /// interior mutability).
-    ///
-    /// `probesim_core::QuerySession` sizes its scratch slabs for the
-    /// node count at construction; for graphs that set this to `true`
-    /// (immutable types like [`crate::CsrGraph`] and
-    /// [`crate::GraphSnapshot`]) the per-run resize guard compiles away
-    /// and `QueryError::GraphResized` becomes structurally impossible.
-    /// Leave it `false` (the default) for any view whose node count
-    /// could change behind a shared borrow.
-    const STABLE_NODE_COUNT: bool = false;
-
     /// Number of nodes `n`. Valid ids are `0..n`.
     fn num_nodes(&self) -> usize;
 
@@ -80,10 +69,6 @@ pub trait GraphView {
 }
 
 impl<G: GraphView + ?Sized> GraphView for &G {
-    // A shared borrow cannot make an unstable count stable, nor the
-    // reverse: forward the referent's guarantee.
-    const STABLE_NODE_COUNT: bool = G::STABLE_NODE_COUNT;
-
     #[inline]
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()

@@ -1,8 +1,8 @@
-//! Property tests for the graph substrate: CSR/DynamicGraph equivalence
-//! under arbitrary update sequences, builder normalization laws, and I/O
+//! Property tests for the graph substrate: store/CSR equivalence under
+//! arbitrary update sequences, builder normalization laws, and I/O
 //! round-trips.
 
-use probesim_graph::{io, CsrGraph, DynamicGraph, GraphBuilder, GraphView, NodeId};
+use probesim_graph::{io, CompactionPolicy, CsrGraph, GraphBuilder, GraphStore, GraphView, NodeId};
 use proptest::prelude::*;
 
 /// An arbitrary sequence of edge operations on a fixed node range.
@@ -28,13 +28,17 @@ fn arb_ops(n: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// DynamicGraph under any op sequence equals a reference
+    /// A GraphStore under any op sequence equals a reference
     /// set-of-edges model, and its snapshot equals a CSR built from the
-    /// final edge set.
+    /// final edge set. The compaction policy is aggressive, so the model
+    /// also checks overlay edits made across folds.
     #[test]
     fn dynamic_graph_matches_reference_model(ops in arb_ops(12, 120)) {
         let n = 12usize;
-        let mut g = DynamicGraph::new(n);
+        let mut g = GraphStore::new(n).with_policy(CompactionPolicy {
+            max_touched_fraction: 0.1,
+            min_touched_lists: 3,
+        });
         let mut reference: std::collections::BTreeSet<(NodeId, NodeId)> = Default::default();
         for op in &ops {
             match *op {
@@ -59,7 +63,7 @@ proptest! {
             prop_assert_eq!(g.out_neighbors(v), &out_ref[..]);
         }
         let edge_vec: Vec<(NodeId, NodeId)> = reference.into_iter().collect();
-        prop_assert_eq!(g.snapshot(), CsrGraph::from_edges(n, &edge_vec));
+        prop_assert_eq!(g.snapshot().to_csr(), CsrGraph::from_edges(n, &edge_vec));
     }
 
     /// Builder normalization is idempotent: rebuilding a cleaned graph

@@ -1,7 +1,7 @@
 //! Real-time SimRank on a dynamic graph — the headline scenario of the
 //! paper: index-free queries interleaved with a stream of edge updates.
 //!
-//! The example maintains a live `DynamicGraph` under a stream of edge
+//! The example maintains a live `GraphStore` under a stream of edge
 //! insertions and deletions, answering top-k queries between batches with
 //! two engines:
 //!
@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 fn main() -> Result<(), QueryError> {
     // Start from a mid-size power-law graph and evolve it.
     let initial = gens::chung_lu(5_000, 40_000, 2.3, 3);
-    let mut graph = DynamicGraph::from_edges(initial.num_nodes(), &initial.edges());
+    let mut graph = GraphStore::from_edges(initial.num_nodes(), &initial.edges());
     let n = graph.num_nodes() as NodeId;
 
     let probesim = ProbeSim::new(ProbeSimConfig::paper(0.1).with_seed(5));

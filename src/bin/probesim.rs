@@ -202,13 +202,7 @@ fn output_format(args: &[String]) -> Result<OutputFormat, String> {
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    // Try the binary magic first, fall back to text.
-    match io::read_binary_file(path) {
-        Ok(g) => Ok(g),
-        Err(_) => io::read_edge_list_file(path)
-            .map(|(g, _labels)| g)
-            .map_err(|e| format!("cannot read {path}: {e}")),
-    }
+    io::read_graph_file(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn generate(args: &[String]) -> Result<(), String> {

@@ -99,8 +99,8 @@ pub mod prelude {
         ReplicaRegistry, ReplicaStatus, SupervisorStats, UpdateLog,
     };
     pub use probesim_graph::{
-        Commit, CompactionPolicy, CsrGraph, DynamicGraph, GraphBuilder, GraphSnapshot, GraphStore,
-        GraphUpdate, GraphView, NodeId,
+        Commit, CompactionPolicy, CsrGraph, GraphBuilder, GraphSnapshot, GraphStore, GraphUpdate,
+        GraphView, NodeId,
     };
     pub use probesim_service::{
         Consistency, Priority, Request, Response, ServiceBuilder, ServiceError, ServiceStats,

@@ -1,5 +1,5 @@
 //! Dynamic-graph correctness under churn: after an arbitrary
-//! insert/remove stream, a session query on the live [`DynamicGraph`] is
+//! insert/remove stream, a session query on the live [`GraphStore`] is
 //! **bit-for-bit identical** (same engine seed) to the same query on a
 //! [`CsrGraph`] rebuilt from scratch from the surviving edges.
 //!
@@ -13,10 +13,11 @@ use probesim_datasets::SlidingWindowStream;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Applies `ops` random insert/remove events to a fresh `n`-node graph.
-fn churned_graph(n: usize, ops: usize, seed: u64) -> DynamicGraph {
-    let mut graph = DynamicGraph::new(n);
+fn churned_graph(n: usize, ops: usize, seed: u64) -> GraphStore {
+    let mut graph = GraphStore::new(n);
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..ops {
         let u = rng.gen_range(0..n) as NodeId;
@@ -32,6 +33,15 @@ fn churned_graph(n: usize, ops: usize, seed: u64) -> DynamicGraph {
         }
     }
     graph
+}
+
+/// Reference model: applies `update` to a plain edge set and reports
+/// whether it changed, the contract `GraphStore::apply` must match.
+fn apply_to_model(model: &mut BTreeSet<(NodeId, NodeId)>, update: GraphUpdate) -> bool {
+    match update {
+        GraphUpdate::Insert { u, v } => model.insert((u, v)),
+        GraphUpdate::Remove { u, v } => model.remove(&(u, v)),
+    }
 }
 
 /// Every touched score must agree to the bit, not within a tolerance.
@@ -81,25 +91,37 @@ proptest! {
     }
 
     /// The same property driven by the sliding-window stream generator
-    /// (the workload the dynamic benchmark scenarios replay).
+    /// (the workload the dynamic benchmark scenarios replay), on a store
+    /// that compacts aggressively. The generator's own live-edge set is
+    /// the oracle: the store's edges must equal it, and the live store,
+    /// its published snapshot and a CSR rebuilt from the oracle must
+    /// answer bit-for-bit alike.
     #[test]
     fn sliding_window_stream_matches_rebuilt_csr(
         seed in any::<u64>(),
         events in 1usize..=200,
     ) {
         let n = 24;
-        let mut live = DynamicGraph::new(n);
-        for update in SlidingWindowStream::new(n, 40, seed).take(events) {
+        let mut live = GraphStore::new(n)
+            .with_policy(CompactionPolicy { max_touched_fraction: 0.05, min_touched_lists: 8 });
+        let mut stream = SlidingWindowStream::new(n, 40, seed);
+        for update in stream.by_ref().take(events) {
             prop_assert!(live.apply(update));
         }
-        let rebuilt = CsrGraph::from_edge_iter(n, live.edges_iter());
+        let mut expected: Vec<(NodeId, NodeId)> = stream.live_edges().collect();
+        expected.sort_unstable();
+        prop_assert!(live.edges_iter().eq(expected.iter().copied()));
+        let rebuilt = CsrGraph::from_edges(n, &expected);
         let engine = ProbeSim::new(ProbeSimConfig::new(0.6, 0.1, 0.01).with_seed(seed ^ 0xC0FFEE));
         let mut live_session = engine.session(&live);
+        let mut snap_session = engine.session(live.snapshot());
         let mut rebuilt_session = engine.session(&rebuilt);
         for node in 0..n as NodeId {
             let a = live_session.run(Query::SingleSource { node }).expect("valid");
             let b = rebuilt_session.run(Query::SingleSource { node }).expect("valid");
+            let c = snap_session.run(Query::SingleSource { node }).expect("valid");
             assert_bit_identical(&a.scores, &b.scores);
+            assert_bit_identical(&c.scores, &b.scores);
         }
     }
 }
@@ -178,32 +200,35 @@ proptest! {
     }
 
     /// The store replaying the sliding-window stream (the workload the
-    /// concurrent bench scenarios serve) agrees with a `DynamicGraph`
-    /// replaying the same events, and its snapshot with a scratch CSR.
+    /// concurrent bench scenarios serve) from a warm-started base agrees
+    /// with a reference edge-set model replaying the same events, and its
+    /// snapshot with a CSR rebuilt from that model.
     #[test]
     fn store_and_dynamic_graph_agree_on_the_stream(
         seed in any::<u64>(),
         events in 1usize..=160,
     ) {
         let n = 24;
-        let mut dynamic = DynamicGraph::new(n);
         let mut warm = SlidingWindowStream::new(n, 40, seed);
+        let mut model: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for update in warm.by_ref().take(40) {
-            dynamic.apply(update);
+            apply_to_model(&mut model, update);
         }
-        let mut store = GraphStore::from_view(&dynamic)
+        let base = CsrGraph::from_edge_iter(n, model.iter().copied());
+        let mut store = GraphStore::from_view(&base)
             .with_policy(CompactionPolicy { max_touched_fraction: 0.05, min_touched_lists: 8 });
         for update in warm.take(events) {
-            prop_assert_eq!(store.apply(update), dynamic.apply(update));
+            prop_assert_eq!(store.apply(update), apply_to_model(&mut model, update));
         }
-        prop_assert_eq!(store.num_edges(), dynamic.num_edges());
-        prop_assert!(store.edges_iter().eq(dynamic.edges_iter()));
+        prop_assert_eq!(store.num_edges(), model.len());
+        prop_assert!(store.edges_iter().eq(model.iter().copied()));
+        let rebuilt = CsrGraph::from_edge_iter(n, model.iter().copied());
         let snapshot = store.snapshot();
         let engine = ProbeSim::new(ProbeSimConfig::new(0.6, 0.1, 0.01).with_seed(seed ^ 0xC0FFEE));
-        let mut live_session = engine.session(&dynamic);
+        let mut rebuilt_session = engine.session(&rebuilt);
         let mut snap_session = engine.session(snapshot);
         for node in 0..n as NodeId {
-            let a = live_session.run(Query::SingleSource { node }).expect("valid");
+            let a = rebuilt_session.run(Query::SingleSource { node }).expect("valid");
             let b = snap_session.run(Query::SingleSource { node }).expect("valid");
             assert_bit_identical(&a.scores, &b.scores);
         }
@@ -216,7 +241,7 @@ proptest! {
 #[test]
 fn interleaved_verification_points_along_a_stream() {
     let n = 40;
-    let mut live = DynamicGraph::new(n);
+    let mut live = GraphStore::new(n);
     let mut stream = SlidingWindowStream::new(n, 80, 99);
     let engine = ProbeSim::new(ProbeSimConfig::new(0.6, 0.1, 0.01).with_seed(7));
     for block in 0..6 {

@@ -7,7 +7,7 @@
 //! * **Deterministic** strategy: expansion is linear, so the fused
 //!   weight-merged sweep equals the per-prefix sum up to floating-point
 //!   association — within 1e-9, on `CsrGraph` and on a live
-//!   `DynamicGraph`. (Pruning is disabled for the exact comparisons: the
+//!   `GraphStore`. (Pruning is disabled for the exact comparisons: the
 //!   fused path prunes merged frontiers against a weight-scaled
 //!   threshold, which preserves the error guarantee but makes different
 //!   cuts than the per-probe rule.)
@@ -66,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Fused deterministic == legacy per-prefix deterministic within
-    /// 1e-9, on CSR and on a live DynamicGraph (which must itself agree
+    /// 1e-9, on CSR and on a live GraphStore (which must itself agree
     /// with CSR bit-for-bit).
     #[test]
     fn fused_deterministic_matches_legacy(g in arb_graph(), seed in any::<u64>()) {
@@ -86,8 +86,8 @@ proptest! {
         // Same walks either way: the fused flag only changes probing.
         prop_assert_eq!(fused_csr.stats.walks, legacy_csr.stats.walks);
         prop_assert_eq!(fused_csr.stats.walk_nodes, legacy_csr.stats.walk_nodes);
-        // Live DynamicGraph: bit-identical to the CSR run of the same engine.
-        let live = DynamicGraph::from_edges(g.num_nodes(), &g.edges());
+        // Live GraphStore: bit-identical to the CSR run of the same engine.
+        let live = GraphStore::from_edges(g.num_nodes(), &g.edges());
         let fused_live = fused.single_source(&live, u);
         for v in 0..g.num_nodes() {
             prop_assert_eq!(
@@ -196,7 +196,7 @@ fn fused_hybrid_with_forced_switches_is_unbiased() {
 
 #[test]
 fn fused_randomized_is_unbiased_on_dynamic_graph() {
-    let g = DynamicGraph::from_edges(8, &toy_edges());
+    let g = GraphStore::from_edges(8, &toy_edges());
     let err = mean_abs_error_vs_table2(&g, ProbeStrategy::Randomized, 0.5);
     assert!(err < 0.02, "mean-over-seeds error {err} vs Table 2");
 }

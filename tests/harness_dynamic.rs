@@ -1,5 +1,5 @@
 //! End-to-end: the `SimRankAlgorithm` evaluation harness driven against a
-//! live `DynamicGraph` — the paper's dynamic-graph story through the same
+//! live `GraphStore` — the paper's dynamic-graph story through the same
 //! adapter layer the figures use (possible since the trait went generic
 //! over `GraphView`).
 
@@ -9,7 +9,7 @@ use probesim_eval::{metrics, sample_query_nodes, McAlgo, ProbeSimAlgo, TopSimAlg
 
 const DECAY: f64 = 0.6;
 
-fn roster(seed: u64) -> Vec<Box<dyn SimRankAlgorithm<DynamicGraph>>> {
+fn roster(seed: u64) -> Vec<Box<dyn SimRankAlgorithm<GraphStore>>> {
     vec![
         Box::new(ProbeSimAlgo::new(
             ProbeSimConfig::paper(0.05).with_seed(seed),
@@ -27,12 +27,12 @@ fn roster(seed: u64) -> Vec<Box<dyn SimRankAlgorithm<DynamicGraph>>> {
 }
 
 /// The full harness loop — prepare, single-source, top-k, metrics —
-/// against a DynamicGraph, with accuracy checked against the exact oracle
+/// against a live GraphStore, with accuracy checked against the exact oracle
 /// computed on the same live graph.
 #[test]
 fn harness_runs_end_to_end_on_a_dynamic_graph() {
     let base = gens::chung_lu(400, 2400, 2.3, 21);
-    let mut graph = DynamicGraph::from_edges(400, &base.edges());
+    let mut graph = GraphStore::from_edges(400, &base.edges());
     // Churn the graph so it is genuinely a mutated dynamic structure, not
     // a CSR in disguise.
     for i in 0..200u32 {
@@ -70,16 +70,15 @@ fn harness_runs_end_to_end_on_a_dynamic_graph() {
 #[test]
 fn probesim_adapter_is_snapshot_consistent_on_dynamic_graphs() {
     let base = gens::erdos_renyi(300, 1800, 4);
-    let mut dynamic = DynamicGraph::from_edges(300, &base.edges());
+    let mut dynamic = GraphStore::from_edges(300, &base.edges());
     for i in 0..150u32 {
         dynamic.insert_edge((i * 11) % 300, (i * 17 + 2) % 300);
     }
-    let snapshot = dynamic.snapshot();
+    let snapshot = dynamic.snapshot().to_csr();
     let truth = GroundTruth::compute_with_iterations(&dynamic, DECAY, 25);
     let mut algo = ProbeSimAlgo::new(ProbeSimConfig::paper(0.05).with_seed(77));
     for &u in &sample_query_nodes(&dynamic, 4, 13) {
-        let live: Vec<f64> =
-            SimRankAlgorithm::<DynamicGraph>::single_source(&mut algo, &dynamic, u);
+        let live: Vec<f64> = SimRankAlgorithm::<GraphStore>::single_source(&mut algo, &dynamic, u);
         let snap: Vec<f64> = SimRankAlgorithm::<CsrGraph>::single_source(&mut algo, &snapshot, u);
         assert_eq!(live, snap, "query {u} diverged between live and snapshot");
         let err = metrics::abs_error(truth.single_source(u), &live, u);

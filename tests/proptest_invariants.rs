@@ -180,11 +180,4 @@ proptest! {
         let g2 = probesim_graph::io::read_binary(std::io::Cursor::new(buf)).expect("read");
         prop_assert_eq!(g, g2);
     }
-
-    /// DynamicGraph built from the same edges equals the CSR snapshot.
-    #[test]
-    fn dynamic_snapshot_roundtrip(g in arb_graph()) {
-        let d = DynamicGraph::from_edges(g.num_nodes(), &g.edges());
-        prop_assert_eq!(d.snapshot(), g);
-    }
 }

@@ -6,6 +6,8 @@
 //! another query kind filled for the same source, and every mutation
 //! bumps the version so `Latest` can never be served a stale entry.
 
+use std::collections::BTreeSet;
+
 use probesim::prelude::*;
 use probesim_core::ProbeSim;
 use proptest::prelude::*;
@@ -81,15 +83,20 @@ proptest! {
         // Seed graph: a ring so every node has in-edges.
         let edges: Vec<(NodeId, NodeId)> =
             (0..n as NodeId).map(|v| (v, (v + 1) % n as NodeId)).collect();
-        let mut oracle = DynamicGraph::from_edges(n, &edges);
+        // Plain edge-set model of the served graph, rebuilt into a
+        // scratch CSR per version.
+        let mut oracle: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
+        let scratch = |oracle: &BTreeSet<(NodeId, NodeId)>| {
+            CsrGraph::from_edge_iter(n, oracle.iter().copied())
+        };
         let engine = ProbeSim::new(service_config(seed));
         let service = ServiceBuilder::new(service_config(seed))
             .workers(1)
             .cache_capacity(capacity)
             .retained_versions(4)
-            .build(GraphStore::from_view(&oracle));
+            .build(GraphStore::from_edges(n, &edges));
         // version -> edge-set oracle for every version ever published.
-        let mut versions: Vec<(u64, CsrGraph)> = vec![(0, oracle.snapshot())];
+        let mut versions: Vec<(u64, CsrGraph)> = vec![(0, scratch(&oracle))];
 
         let mut hits_checked = 0u64;
         let mut kind = 0usize;
@@ -107,9 +114,14 @@ proptest! {
                     GraphUpdate::Remove { u, v }
                 };
                 let effective = service.commit(update).was_effective();
-                prop_assert_eq!(effective, oracle.apply(update), "oracle diverged");
+                let expected = if update.is_insert() {
+                    oracle.insert(update.edge())
+                } else {
+                    oracle.remove(&update.edge())
+                };
+                prop_assert_eq!(effective, expected, "oracle diverged");
                 if effective {
-                    versions.push((service.version(), oracle.snapshot()));
+                    versions.push((service.version(), scratch(&oracle)));
                 }
             }
             // A few queries: repeats (cache pressure) + mixed consistency.

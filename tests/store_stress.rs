@@ -9,6 +9,7 @@
 //! and deduplicated, and versions never move backwards — no matter how
 //! the threads interleave.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -58,20 +59,19 @@ fn one_writer_four_readers_under_seeded_churn() {
     const UPDATES: usize = 1200;
     const READERS: usize = 4;
 
-    // Warm the window so removals happen from the first event.
-    let mut warm = DynamicGraph::new(N);
+    // Warm the window so removals happen from the first event (the
+    // first WINDOW events are distinct inserts).
     let mut stream = SlidingWindowStream::new(N, WINDOW, 0xC0DE);
-    for update in stream.by_ref().take(WINDOW) {
-        warm.apply(update);
-    }
+    let warm: Vec<(NodeId, NodeId)> = stream.by_ref().take(WINDOW).map(|e| e.edge()).collect();
     let updates: Vec<GraphUpdate> = stream.take(UPDATES).collect();
     // Aggressive policy: many compactions while readers are live.
-    let mut store = GraphStore::from_view(&warm).with_policy(CompactionPolicy {
+    let mut store = GraphStore::from_edges(N, &warm).with_policy(CompactionPolicy {
         max_touched_fraction: 0.05,
         min_touched_lists: 8,
     });
-    // Scratch oracle replaying the same stream on the writer thread.
-    let mut oracle = warm;
+    // Scratch oracle replaying the same stream on the writer thread: a
+    // plain edge set that shares no code with the overlay.
+    let mut oracle: BTreeSet<(NodeId, NodeId)> = warm.into_iter().collect();
 
     let engine = ProbeSim::new(ProbeSimConfig::new(0.6, 0.15, 0.01).with_seed(77));
     let slot = Mutex::new(store.snapshot());
@@ -91,7 +91,11 @@ fn one_writer_four_readers_under_seeded_churn() {
             let _release_readers = SetOnDrop(&done);
             for update in &updates {
                 let a = store.apply(*update);
-                let b = oracle.apply(*update);
+                let b = if update.is_insert() {
+                    oracle.insert(update.edge())
+                } else {
+                    oracle.remove(&update.edge())
+                };
                 assert_eq!(a, b, "store and oracle disagreed on {update:?}");
                 *slot.lock().unwrap() = store.snapshot();
             }
@@ -149,7 +153,7 @@ fn one_writer_four_readers_under_seeded_churn() {
     );
     // Final state: the store, its last snapshot, a scratch CSR rebuilt
     // from the stream oracle, and a compacted fold all agree exactly.
-    let rebuilt = CsrGraph::from_edge_iter(N, oracle.edges_iter());
+    let rebuilt = CsrGraph::from_edge_iter(N, oracle.iter().copied());
     assert_eq!(store.num_edges(), rebuilt.num_edges());
     assert!(store.edges_iter().eq(rebuilt.edges_iter()));
     let mut store = store;
