@@ -1,7 +1,7 @@
 //! Project-specific static analysis for the probesim workspace.
 //!
-//! `probesim-analyze` is a dependency-free pass over the workspace's
-//! own sources. It lexes every non-shim `.rs` file (comment-, string-
+//! `probesim-analyze` is a pass over the workspace's own sources with no
+//! external dependencies (its JSON goes through `probesim-json`). It lexes every non-shim `.rs` file (comment-, string-
 //! and char-literal-aware), recovers items per file, and runs four
 //! analyses:
 //!

@@ -17,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use probesim_json::Json;
+
 /// One violation, anchored to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -109,120 +111,116 @@ impl Report {
     /// formatting are all deterministic, so identical trees produce
     /// byte-identical reports.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"probesim-analyze/v1\",\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        s.push_str("  \"counts\": {");
-        let counts = self.counts_by_rule();
-        for (i, (rule, n)) in counts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    {}: {n}", quote(rule));
-        }
-        s.push_str(if counts.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"lock_order\": {\n    \"intended\": [");
-        push_str_array(&mut s, &self.lock_order.intended);
-        s.push_str("],\n    \"locks\": [");
-        push_str_array(&mut s, &self.lock_order.locks);
-        s.push_str("],\n    \"edges\": [");
-        for (i, e) in self.lock_order.edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n      {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}, \"via\": {}}}",
-                quote(&e.from),
-                quote(&e.to),
-                quote(&e.file),
-                e.line,
-                quote(&e.via)
-            );
-        }
-        s.push_str(if self.lock_order.edges.is_empty() {
-            "]\n  },\n"
-        } else {
-            "\n    ]\n  },\n"
-        });
-        s.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                quote(f.rule),
-                quote(&f.file),
-                f.line,
-                quote(&f.message)
-            );
-        }
-        s.push_str(if self.findings.is_empty() {
-            "]\n}\n"
-        } else {
-            "\n  ]\n}\n"
-        });
-        s
+        let strs = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+        let counts = self
+            .counts_by_rule()
+            .into_iter()
+            .map(|(rule, n)| (rule.to_string(), Json::uint(n)))
+            .collect();
+        let edges = self
+            .lock_order
+            .edges
+            .iter()
+            .map(|e| {
+                Json::obj(vec![
+                    ("from", Json::Str(e.from.clone())),
+                    ("to", Json::Str(e.to.clone())),
+                    ("file", Json::Str(e.file.clone())),
+                    ("line", Json::UInt(e.line.into())),
+                    ("via", Json::Str(e.via.clone())),
+                ])
+            })
+            .collect();
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                Json::obj(vec![
+                    ("rule", Json::Str(f.rule.to_string())),
+                    ("file", Json::Str(f.file.clone())),
+                    ("line", Json::UInt(f.line.into())),
+                    ("message", Json::Str(f.message.clone())),
+                ])
+            })
+            .collect();
+        document(&Json::obj(vec![
+            ("schema", Json::Str(REPORT_SCHEMA.to_string())),
+            ("files_scanned", Json::uint(self.files_scanned)),
+            ("counts", Json::Obj(counts)),
+            (
+                "lock_order",
+                Json::obj(vec![
+                    ("intended", strs(&self.lock_order.intended)),
+                    ("locks", strs(&self.lock_order.locks)),
+                    ("edges", Json::Arr(edges)),
+                ]),
+            ),
+            ("findings", Json::Arr(findings)),
+        ]))
     }
 
     /// The baseline capturing this run's `(rule, file)` counts.
     pub fn baseline_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"probesim-analyze-baseline/v1\",\n  \"entries\": [");
-        let counts = self.counts_by_rule_file();
-        for (i, ((rule, file), n)) in counts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"rule\": {}, \"file\": {}, \"count\": {n}}}",
-                quote(rule),
-                quote(file)
-            );
-        }
-        s.push_str(if counts.is_empty() {
-            "]\n}\n"
-        } else {
-            "\n  ]\n}\n"
-        });
-        s
+        let entries = self
+            .counts_by_rule_file()
+            .into_iter()
+            .map(|((rule, file), n)| {
+                Json::obj(vec![
+                    ("rule", Json::Str(rule)),
+                    ("file", Json::Str(file)),
+                    ("count", Json::uint(n)),
+                ])
+            })
+            .collect();
+        document(&Json::obj(vec![
+            ("schema", Json::Str(BASELINE_SCHEMA.to_string())),
+            ("entries", Json::Arr(entries)),
+        ]))
     }
 }
 
-fn push_str_array(s: &mut String, items: &[String]) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&quote(item));
-    }
-}
+const REPORT_SCHEMA: &str = "probesim-analyze/v1";
+const BASELINE_SCHEMA: &str = "probesim-analyze-baseline/v1";
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A whole file: `value` laid out by [`pretty`], newline-terminated.
+fn document(value: &Json) -> String {
+    let mut out = String::new();
+    pretty(value, 0, &mut out);
+    out.push('\n');
     out
+}
+
+/// Writes a container that holds other containers one member per line,
+/// and anything else compactly with `Json`'s `Display` — so every
+/// finding and baseline entry sits on its own line and a baseline
+/// refresh diffs line by line.
+fn pretty(value: &Json, indent: usize, out: &mut String) {
+    let members: Vec<(Option<&str>, &Json)> = match value {
+        Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+        Json::Obj(fields) => fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        _ => Vec::new(),
+    };
+    if !members
+        .iter()
+        .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+    {
+        let _ = write!(out, "{value}");
+        return;
+    }
+    let (open, close) = match value {
+        Json::Arr(_) => ('[', ']'),
+        _ => ('{', '}'),
+    };
+    out.push(open);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&" ".repeat(indent + 2));
+        if let Some(key) = key {
+            let _ = write!(out, "{}: ", Json::Str(key.to_string()));
+        }
+        pretty(member, indent + 2, out);
+    }
+    let _ = write!(out, "\n{}{close}", " ".repeat(indent));
 }
 
 /// A parsed baseline: allowed counts per `(rule, file)`.
@@ -237,138 +235,46 @@ pub struct Baseline {
 /// but requires the exact schema tag — a truncated or hand-mangled
 /// baseline fails loudly instead of silently gating nothing.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let mut baseline = Baseline::default();
-    let mut schema_ok = false;
-    p.expect_ch('{')?;
-    loop {
-        p.skip_ws();
-        if p.peek() == Some('}') {
-            break;
-        }
-        let key = p.string()?;
-        p.expect_ch(':')?;
-        match key.as_str() {
-            "schema" => {
-                let v = p.string()?;
-                if v != "probesim-analyze-baseline/v1" {
-                    return Err(format!("unsupported baseline schema {v:?}"));
-                }
-                schema_ok = true;
-            }
-            "entries" => {
-                p.expect_ch('[')?;
-                loop {
-                    p.skip_ws();
-                    if p.peek() == Some(']') {
-                        p.i += 1;
-                        break;
-                    }
-                    let (mut rule, mut file, mut count) = (None, None, None);
-                    p.expect_ch('{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.peek() == Some('}') {
-                            p.i += 1;
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.expect_ch(':')?;
-                        match k.as_str() {
-                            "rule" => rule = Some(p.string()?),
-                            "file" => file = Some(p.string()?),
-                            "count" => count = Some(p.number()?),
-                            other => return Err(format!("unknown entry key {other:?}")),
-                        }
-                        p.skip_comma();
-                    }
-                    let (rule, file, count) = (
-                        rule.ok_or("entry missing rule")?,
-                        file.ok_or("entry missing file")?,
-                        count.ok_or("entry missing count")?,
-                    );
-                    baseline.entries.insert((rule, file), count);
-                    p.skip_comma();
-                }
-            }
-            other => return Err(format!("unknown baseline key {other:?}")),
-        }
-        p.skip_comma();
+    let value = Json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    only_keys(&value, &["schema", "entries"], "baseline")?;
+    match value.get("schema").and_then(Json::as_str) {
+        Some(BASELINE_SCHEMA) => {}
+        Some(other) => return Err(format!("unsupported baseline schema {other:?}")),
+        None => return Err("baseline missing schema tag".to_string()),
     }
-    if !schema_ok {
-        return Err("baseline missing schema tag".to_string());
+    let entries = value
+        .get("entries")
+        .and_then(Json::as_arr)
+        .ok_or("baseline missing entries")?;
+    let mut baseline = Baseline::default();
+    for entry in entries {
+        only_keys(entry, &["rule", "file", "count"], "entry")?;
+        let text = |key: &str| entry.get(key).and_then(Json::as_str).map(str::to_string);
+        let rule = text("rule").ok_or("entry missing rule")?;
+        let file = text("file").ok_or("entry missing file")?;
+        let count = entry
+            .get("count")
+            .and_then(Json::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("entry missing count")?;
+        baseline.entries.insert((rule, file), count);
     }
     Ok(baseline)
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.b.get(self.i).map(|&c| c as char)
-    }
-
-    fn expect_ch(&mut self, c: char) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.i))
-        }
-    }
-
-    fn skip_comma(&mut self) {
-        if self.peek() == Some(',') {
-            self.i += 1;
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_ch('"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.b.get(self.i).copied().ok_or("truncated escape")?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => other as char,
-                    });
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<usize, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("expected a count at byte {start}"))
+/// Rejects an object with a key outside `known` (and anything that is
+/// not an object): a misspelled key must fail loudly, not silently drop
+/// an allowance.
+fn only_keys(value: &Json, known: &[&str], what: &str) -> Result<(), String> {
+    let Json::Obj(fields) = value else {
+        return Err(format!("{what} is not a JSON object"));
+    };
+    match fields
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(format!("unknown {what} key {key:?}")),
+        None => Ok(()),
     }
 }
 
@@ -533,6 +439,13 @@ mod tests {
         );
         // Stability: serializing twice is byte-identical.
         assert_eq!(text, report(r.findings.clone()).baseline_json());
+        // Any path round-trips, non-ASCII and control characters included.
+        let odd = "crates/é/src/\u{1}.rs";
+        let parsed = parse_baseline(&report(vec![f("det-clock", odd, 1)]).baseline_json()).unwrap();
+        assert_eq!(
+            parsed.entries[&("det-clock".to_string(), odd.to_string())],
+            1
+        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! Benchmark harness: the workload **scenario engine** behind the
 //! `probesim-bench` runner, plus one experiment-regeneration binary per
-//! table and figure of the paper's evaluation (Section 6) and Criterion
-//! micro-benchmarks.
+//! table and figure of the paper's evaluation (Section 6).
 //!
 //! ## The scenario engine
 //!
@@ -14,7 +13,7 @@
 //!   `QueryService` serving facade (mixed-priority deadline mix, result
 //!   cache repeats); shared timing primitives ([`scenario::Latencies`],
 //!   [`scenario::time_per_item`]) used by every binary in this crate.
-//! * [`report`] — dependency-free JSON serialization of scenario results
+//! * [`report`] — JSON serialization (through `probesim-json`) of scenario results
 //!   (`BENCH_<scenario>.json`), baseline files, and the regression
 //!   comparator the CI `perf-smoke` job gates on.
 //! * [`cli`] — the `probesim-bench` driver (`--list`, `--out`,

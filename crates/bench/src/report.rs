@@ -7,9 +7,8 @@
 //! --compare` diffs against. The comparator is what the CI `perf-smoke`
 //! job gates on.
 //!
-//! Everything here is dependency-free: [`Json`] is a small ordered JSON
-//! value type with a `Display` writer and a recursive-descent parser —
-//! enough for the fixed report schema, not a general-purpose JSON crate.
+//! Serialization goes through the workspace's one JSON codec,
+//! [`probesim_json::Json`], re-exported here as [`Json`].
 //!
 //! ## Report schema (`schema_version` 1)
 //!
@@ -52,408 +51,9 @@
 
 use std::fmt;
 
+pub use probesim_json::Json;
+
 use crate::scenario::{Latencies, ScenarioResult};
-
-/// An ordered JSON value: the writer preserves insertion order so report
-/// files are schema-stable and diff-friendly.
-///
-/// Numbers come in two flavors: [`Json::UInt`] for exact unsigned
-/// integers (counters, seeds — a `u64` seed must survive serialization
-/// bit-exactly, which `f64` cannot guarantee past 2^53) and [`Json::Num`]
-/// for everything else. Equality treats them as one numeric domain, the
-/// way JSON itself does.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// An exact unsigned integer (the parser produces this for any
-    /// unsigned digits-only literal that fits `u64`).
-    UInt(u64),
-    /// Any other number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl PartialEq for Json {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Json::Null, Json::Null) => true,
-            (Json::Bool(a), Json::Bool(b)) => a == b,
-            (Json::UInt(a), Json::UInt(b)) => a == b,
-            (Json::Num(a), Json::Num(b)) => a == b,
-            // Mixed numeric forms compare numerically: `7` == `7.0`.
-            (Json::UInt(a), Json::Num(b)) | (Json::Num(b), Json::UInt(a)) => *a as f64 == *b,
-            (Json::Str(a), Json::Str(b)) => a == b,
-            (Json::Arr(a), Json::Arr(b)) => a == b,
-            (Json::Obj(a), Json::Obj(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl Json {
-    /// Object constructor from key/value pairs.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Exact-integer constructor for `usize` counters.
-    pub fn uint(value: usize) -> Json {
-        Json::UInt(value as u64)
-    }
-
-    /// Member lookup on an object (`None` for non-objects/missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number (integers included).
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Num(x) => Some(x),
-            Json::UInt(u) => Some(u as f64),
-            _ => None,
-        }
-    }
-
-    /// The exact unsigned-integer value: [`Json::UInt`] directly, or a
-    /// [`Json::Num`] that is a non-negative integer small enough
-    /// (≤ 2^53) to be exact.
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::UInt(u) => Some(u),
-            Json::Num(x) if x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 => {
-                Some(x as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Parses a JSON document. Errors carry the byte offset of the
-    /// problem.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing characters after the JSON value"));
-        }
-        Ok(value)
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::UInt(u) => write!(f, "{u}"),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    write!(f, "{x}")
-                } else {
-                    // JSON has no Infinity/NaN; reports never produce them,
-                    // but a writer must not emit invalid documents.
-                    write!(f, "null")
-                }
-            }
-            Json::Str(s) => write_json_string(f, s),
-            Json::Arr(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(fields) => {
-                write!(f, "{{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write_json_string(f, key)?;
-                    write!(f, ": {value}")?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
-}
-
-/// A JSON parse failure: message plus byte offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_string(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", expected as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, literal: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {literal:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false").map(|()| Json::Bool(false)),
-            Some(b'n') => self.eat_literal("null").map(|()| Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Reports only escape control characters (BMP,
-                            // non-surrogate); reject surrogate pairs rather
-                            // than mis-decode them.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("surrogate \\u escape unsupported"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Continue a UTF-8 sequence: find its end and push the
-                    // whole char.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty char"))?;
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("invariant: number lexemes are ASCII");
-        // Unsigned digits-only literals stay exact (u64); everything else
-        // goes through f64.
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
 
 /// Version stamp written into every report; bump when the schema changes
 /// shape incompatibly.
@@ -1315,50 +915,6 @@ mod tests {
             restarts: None,
             failovers: None,
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let value = Json::obj(vec![
-            ("s", Json::Str("he said \"hi\"\n\ttab".to_string())),
-            ("n", Json::Num(-1.25e-7)),
-            ("i", Json::Num(1234567.0)),
-            ("b", Json::Bool(true)),
-            ("z", Json::Null),
-            (
-                "a",
-                Json::Arr(vec![Json::Num(1.0), Json::Str("x".to_string())]),
-            ),
-            ("o", Json::obj(vec![("k", Json::Num(2.0))])),
-            ("unicode", Json::Str("προβ→sim".to_string())),
-        ]);
-        let text = value.to_string();
-        assert_eq!(Json::parse(&text).unwrap(), value);
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1, ]x",
-            "{\"a\": }",
-            "\"unterminated",
-            "{\"a\": 1} trailing",
-            "nul",
-            "{'single': 1}",
-        ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parser_accepts_whitespace_and_nesting() {
-        let value = Json::parse("  { \"a\" : [ 1 , { \"b\" : null } ] }\n").unwrap();
-        assert_eq!(
-            value.get("a").unwrap().as_arr().unwrap()[1].get("b"),
-            Some(&Json::Null)
-        );
     }
 
     #[test]

@@ -548,18 +548,6 @@ impl<G: GraphView> QuerySession<G> {
         Ok(self.run_validated(query))
     }
 
-    /// [`QuerySession::run`] with an external RNG (for harnesses that
-    /// manage their own seed streams).
-    pub fn run_with_rng<R: Rng>(
-        &mut self,
-        query: Query,
-        rng: &mut R,
-    ) -> Result<QueryOutput, QueryError> {
-        self.check_unresized()?;
-        validate(&self.graph, &query)?;
-        Ok(self.execute(query, rng))
-    }
-
     /// [`QuerySession::run`] under a cooperative [`ProbeBudget`]: the
     /// probe engines check the budget between level expansions, and an
     /// exceeded deadline or work cap surfaces as
@@ -1057,18 +1045,10 @@ mod tests {
                 graph_nodes: 12,
             }
         );
-        // Batches and external-RNG runs hit the same guard, before any
-        // per-query validation.
+        // Batches hit the same guard, before any per-query validation.
         assert_eq!(
             session
                 .run_batch(&[Query::SingleSource { node: A }])
-                .unwrap_err(),
-            err
-        );
-        let mut rng = query_rng(0, A);
-        assert_eq!(
-            session
-                .run_with_rng(Query::SingleSource { node: A }, &mut rng)
                 .unwrap_err(),
             err
         );

@@ -68,21 +68,6 @@ impl ProbeSim {
         Ok(output.into_single_source())
     }
 
-    /// [`ProbeSim::single_source`] with an external RNG (for experiment
-    /// harnesses that manage their own seed streams). Panics on an invalid
-    /// query node.
-    pub fn single_source_with_rng<G: GraphView, R: Rng>(
-        &self,
-        graph: &G,
-        u: NodeId,
-        rng: &mut R,
-    ) -> SingleSourceResult {
-        self.session(graph)
-            .run_with_rng(Query::SingleSource { node: u }, rng)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_single_source()
-    }
-
     /// Answers an approximate top-k SimRank query (Definition 2): the `k`
     /// nodes most similar to `u`, each true score within `εa` of the true
     /// i-th largest with probability ≥ 1 − δ.
@@ -119,9 +104,8 @@ impl ProbeSim {
     /// allocation profile of the original one-shot API.
     ///
     /// Kept public (but hidden from docs) so the equivalence property tests
-    /// and the `session_reuse` benchmark can compare the pooled session
-    /// path against it; `SparseScores::to_dense` must match this
-    /// bit-for-bit.
+    /// can compare the pooled session path against it;
+    /// `SparseScores::to_dense` must match this bit-for-bit.
     #[doc(hidden)]
     pub fn single_source_dense_reference<G: GraphView>(
         &self,

@@ -167,8 +167,18 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, GraphError> {
     if hasher.finish() != stored {
         return Err(GraphError::Corrupt("checkpoint checksum mismatch".into()));
     }
+    // Node ids are `NodeId`s, so the count must fit one — the bound
+    // `io::read_binary` enforces too. A larger count would decode here
+    // and then blow up when `to_store` sizes the CSR.
     let num_nodes = usize::try_from(num_nodes)
-        .map_err(|_| GraphError::Corrupt(format!("implausible node count {num_nodes}")))?;
+        .ok()
+        .filter(|&n| n <= NodeId::MAX as usize)
+        .ok_or_else(|| {
+            GraphError::Corrupt(format!(
+                "node count {num_nodes} exceeds the {}-bit id space",
+                NodeId::BITS
+            ))
+        })?;
     let mut edges = Vec::with_capacity(edge_bytes / 8);
     for _ in 0..edge_bytes / 8 {
         let u = take_u32(&mut cursor).ok_or_else(truncated)?;
@@ -271,6 +281,15 @@ mod tests {
         let bogus = Checkpoint::new(1, 2, vec![(0, 5)]);
         let err = decode_checkpoint(&encode_checkpoint(&bogus)).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn node_count_past_the_id_space_is_detected() {
+        // Checksum-valid and edge-free: only the node-count bound can
+        // reject it.
+        let huge = Checkpoint::new(0, NodeId::MAX as usize + 2, vec![]);
+        let err = decode_checkpoint(&encode_checkpoint(&huge)).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

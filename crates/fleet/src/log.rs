@@ -294,72 +294,17 @@ pub fn encode_log(records: &[LogRecord]) -> Vec<u8> {
 /// Decodes a serialized log, validating magic, format version, record
 /// framing, per-record checksums and LSN contiguity (records must run
 /// 1, 2, … without gaps). Any violation — including a log whose tail
-/// was cut off mid-record — is [`GraphError::Corrupt`].
-pub fn decode_log(mut bytes: &[u8]) -> Result<Vec<LogRecord>, GraphError> {
-    let bytes = &mut bytes;
-    let magic = take(bytes, 4).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
-    if magic != MAGIC {
-        return Err(GraphError::Corrupt(format!(
-            "bad magic {magic:?}, expected {MAGIC:?}"
-        )));
+/// was cut off mid-record — is [`GraphError::Corrupt`]: this is
+/// [`salvage_log`] with every cut treated as fatal.
+pub fn decode_log(bytes: &[u8]) -> Result<Vec<LogRecord>, GraphError> {
+    let salvage = salvage_log(bytes)?;
+    match salvage.cut {
+        None => Ok(salvage.records),
+        Some(reason) => Err(GraphError::Corrupt(format!(
+            "log record {}: {reason}",
+            salvage.last_lsn() + 1
+        ))),
     }
-    let version = take_u32(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
-    if version != VERSION {
-        return Err(GraphError::Corrupt(format!(
-            "unsupported log format version {version}, expected {VERSION}"
-        )));
-    }
-    let count = take_u64(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
-    let capacity = usize::try_from(count)
-        .ok()
-        .filter(|c| c.checked_mul(RECORD_BYTES as usize + 4).is_some())
-        .ok_or_else(|| GraphError::Corrupt(format!("implausible record count {count}")))?;
-    let mut records = Vec::with_capacity(capacity.min(1 << 20));
-    for expected_lsn in 1..=count {
-        let len =
-            take_u32(bytes).ok_or_else(|| GraphError::Corrupt("truncated record prefix".into()))?;
-        if len != RECORD_BYTES {
-            return Err(GraphError::Corrupt(format!(
-                "record {expected_lsn}: length {len}, expected {RECORD_BYTES}"
-            )));
-        }
-        let mut payload = take(bytes, len as usize)
-            .ok_or_else(|| GraphError::Corrupt("truncated record".into()))?;
-        let payload = &mut payload;
-        let lsn = take_u64(payload).unwrap_or(0);
-        let kind = take_u8(payload).unwrap_or(2);
-        let u: NodeId = take_u32(payload).unwrap_or(0);
-        let v: NodeId = take_u32(payload).unwrap_or(0);
-        let stored_checksum = take_u64(payload).unwrap_or(0);
-        let update = match kind {
-            0 => GraphUpdate::Remove { u, v },
-            1 => GraphUpdate::Insert { u, v },
-            other => {
-                return Err(GraphError::Corrupt(format!(
-                    "record {expected_lsn}: unknown update kind {other}"
-                )))
-            }
-        };
-        let record = LogRecord { lsn, update };
-        if record_checksum(&record) != stored_checksum {
-            return Err(GraphError::Corrupt(format!(
-                "record {expected_lsn}: checksum mismatch"
-            )));
-        }
-        if lsn != expected_lsn {
-            return Err(GraphError::Corrupt(format!(
-                "LSN gap: record {expected_lsn} carries LSN {lsn}"
-            )));
-        }
-        records.push(record);
-    }
-    if !bytes.is_empty() {
-        return Err(GraphError::Corrupt(format!(
-            "{} trailing bytes after the last record",
-            bytes.len()
-        )));
-    }
-    Ok(records)
 }
 
 /// Why salvage cut the tail of a damaged log stream.
@@ -386,7 +331,7 @@ impl std::fmt::Display for SalvageReason {
             SalvageReason::TruncatedRecord => "stream ended mid-record",
             SalvageReason::BadRecordLength => "bad record length prefix",
             SalvageReason::ChecksumMismatch => "record checksum mismatch",
-            SalvageReason::LsnGap => "non-contiguous LSN",
+            SalvageReason::LsnGap => "LSN gap",
             SalvageReason::UnknownUpdateKind => "unknown update kind",
             SalvageReason::TrailingBytes => "trailing bytes after the last record",
         };

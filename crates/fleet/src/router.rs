@@ -383,9 +383,8 @@ impl Fleet {
     /// returned token makes read-your-writes a one-liner:
     /// `fleet.call(request.with_consistency(Consistency::AtLeastVersion(commit.version)))`.
     ///
-    /// All fleet mutations must go through here (or
-    /// [`Fleet::commit_all`]); writing to the primary service directly
-    /// would desynchronize the log.
+    /// All fleet mutations must go through here; writing to the primary
+    /// service directly would desynchronize the log.
     pub fn commit(&self, update: GraphUpdate) -> Commit {
         let primary = &self.primary;
         let mut token = None;
@@ -400,23 +399,6 @@ impl Fleet {
             effective.then_some(update)
         });
         token.expect("invariant: the append producer always runs")
-    }
-
-    /// Applies a batch in order; the returned token carries the final
-    /// version and the total number of effective updates.
-    pub fn commit_all<I: IntoIterator<Item = GraphUpdate>>(&self, updates: I) -> Commit {
-        let mut last = Commit {
-            version: self.version(),
-            effective: 0,
-        };
-        for update in updates {
-            let commit = self.commit(update);
-            last = Commit {
-                version: commit.version,
-                effective: last.effective + commit.effective,
-            };
-        }
-        last
     }
 
     /// Routes `request` by its consistency level and answers it.

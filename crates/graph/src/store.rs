@@ -378,19 +378,6 @@ impl GraphStore {
         }
     }
 
-    /// Applies a batch in order; the returned token carries the final
-    /// version and the total number of effective updates.
-    pub fn commit_all<I: IntoIterator<Item = GraphUpdate>>(&mut self, updates: I) -> Commit {
-        let mut effective = 0;
-        for update in updates {
-            effective += u64::from(self.mutate(update));
-        }
-        Commit {
-            version: self.version,
-            effective,
-        }
-    }
-
     fn mutate(&mut self, update: GraphUpdate) -> bool {
         let (u, v) = update.edge();
         let n = self.num_nodes();

@@ -410,11 +410,10 @@ fn serve(
 ///   priorities and consistency levels, and responses report the
 ///   answering version, the queue/exec latency split and whether the
 ///   cache served them.
-/// * **The writer** goes through [`QueryService::commit`] /
-///   [`QueryService::commit_all`]: each effective update mutates the
-///   store (firing the cache-invalidation observer inside
-///   `GraphStore::mutate`), publishes a fresh snapshot and extends the
-///   pinned-version retention window. The returned [`Commit`] token
+/// * **The writer** goes through [`QueryService::commit`]: each
+///   effective update mutates the store (firing the cache-invalidation
+///   observer inside `GraphStore::mutate`), publishes a fresh snapshot
+///   and extends the pinned-version retention window. The returned [`Commit`] token
 ///   carries the reached version — the exact floor a read-your-writes
 ///   `AtLeastVersion` read needs.
 ///
@@ -500,25 +499,6 @@ impl QueryService {
             version,
             effective: u64::from(effective),
         }
-    }
-
-    /// Applies a sequence of updates in order; the returned token
-    /// carries the final published version and the total number of
-    /// effective updates. Each effective update publishes its own
-    /// version (the retention window sees every intermediate state).
-    pub fn commit_all<I: IntoIterator<Item = GraphUpdate>>(&self, updates: I) -> Commit {
-        let mut last = Commit {
-            version: self.version(),
-            effective: 0,
-        };
-        for update in updates {
-            let commit = self.commit(update);
-            last = Commit {
-                version: commit.version,
-                effective: last.effective + commit.effective,
-            };
-        }
-        last
     }
 
     /// The newest published version.

@@ -51,8 +51,8 @@ use std::process::ExitCode;
 
 use probesim::prelude::*;
 use probesim_baselines::MonteCarlo;
-use probesim_core::QueryStats;
 use probesim_graph::{io, CsrGraph, DegreeStats};
+use probesim_json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -331,7 +331,7 @@ fn query(args: &[String]) -> Result<(), String> {
     };
     let output = result.map_err(|e| e.to_string())?;
     match format {
-        OutputFormat::Json => println!("{}", query_output_json(&output, elapsed)),
+        OutputFormat::Json => println!("{}", query_output_json(&output, Some(elapsed))),
         OutputFormat::Text => {
             let config = engine.config();
             match query {
@@ -395,18 +395,27 @@ fn batch(args: &[String]) -> Result<(), String> {
     let elapsed = start.elapsed().as_secs_f64();
     match format {
         OutputFormat::Json => {
-            let per_query: Vec<String> = batch
+            let outputs = batch
                 .outputs
                 .iter()
-                .map(|o| query_output_json(o, f64::NAN))
+                .map(|o| query_output_json(o, None))
                 .collect();
-            println!(
-                "{{\"queries\": {}, \"elapsed_secs\": {}, \"stats\": {}, \"outputs\": [{}]}}",
-                batch.outputs.len(),
-                json_f64(elapsed),
-                stats_json(&batch.stats),
-                per_query.join(", ")
-            );
+            let summary = Json::obj(vec![
+                ("queries", Json::uint(batch.outputs.len())),
+                ("elapsed_secs", Json::Num(elapsed)),
+                (
+                    "stats",
+                    Json::Obj(
+                        batch
+                            .stats
+                            .fields()
+                            .map(|(name, n)| (name.to_string(), Json::uint(n)))
+                            .collect(),
+                    ),
+                ),
+                ("outputs", Json::Arr(outputs)),
+            ]);
+            println!("{summary}");
         }
         OutputFormat::Text => {
             for output in &batch.outputs {
@@ -447,14 +456,16 @@ fn quantile(samples: &[f64], q: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
-fn latency_json(samples: &[f64]) -> String {
-    format!(
-        "{{\"count\": {}, \"median\": {}, \"p95\": {}, \"max\": {}}}",
-        samples.len(),
-        json_f64(quantile(samples, 0.5)),
-        json_f64(quantile(samples, 0.95)),
-        json_f64(samples.iter().copied().fold(0.0, f64::max)),
-    )
+fn latency_json(samples: &[f64]) -> Json {
+    Json::obj(vec![
+        ("count", Json::uint(samples.len())),
+        ("median", Json::Num(quantile(samples, 0.5))),
+        ("p95", Json::Num(quantile(samples, 0.95))),
+        (
+            "max",
+            Json::Num(samples.iter().copied().fold(0.0, f64::max)),
+        ),
+    ])
 }
 
 /// Drives the full serving facade over a Zipf-repeated query stream and
@@ -613,76 +624,89 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
     let elapsed = wall.elapsed().as_secs_f64();
     let stats = serving.primary().stats();
     let answered = queries as u64 - errors;
+    let optional = |value: Option<u64>| value.map_or(Json::Null, Json::UInt);
+    let mut summary = vec![
+        ("queries", Json::uint(queries)),
+        ("distinct", Json::uint(query_nodes.len())),
+        ("workers", Json::uint(serving.primary().workers())),
+        ("consistency", Json::Str(consistency_name.to_string())),
+        ("deadline_ms", optional(deadline_ms)),
+        ("work_cap", optional(work_cap)),
+        ("version", Json::UInt(serving.primary().version())),
+        ("applied_version", Json::UInt(stats.applied_version)),
+        ("queue_depth", Json::UInt(stats.queue_depth)),
+        ("read_your_writes", Json::UInt(read_your_writes)),
+        ("elapsed_secs", Json::Num(elapsed)),
+        (
+            "cache",
+            Json::obj(vec![
+                ("capacity", Json::uint(cache_capacity)),
+                ("hits", Json::UInt(hits)),
+                ("misses", Json::UInt(answered - hits)),
+                (
+                    "hit_rate",
+                    Json::Num(if answered > 0 {
+                        hits as f64 / answered as f64
+                    } else {
+                        0.0
+                    }),
+                ),
+                ("entries", Json::uint(stats.cache_entries)),
+            ]),
+        ),
+        ("deadline_exceeded", Json::UInt(stats.deadline_exceeded)),
+        (
+            "work_budget_exceeded",
+            Json::UInt(stats.work_budget_exceeded),
+        ),
+        ("errors", Json::UInt(errors)),
+        ("executed_work", Json::UInt(stats.executed_work)),
+        ("queue_secs", latency_json(&queue_secs)),
+        ("exec_secs", latency_json(&exec_secs)),
+    ];
     // Fleet mode appends a `fleet` object: per-endpoint health,
     // restart counts and last-salvage LSNs from the registry-backed
     // status snapshot, plus the supervisor's cumulative recovery
     // counters and the router's failover count.
-    let fleet_field = match &serving {
-        Serving::Single(_) => String::new(),
-        Serving::Fleet(fleet) => {
-            let supervisor = fleet.supervisor_stats();
-            let endpoints: Vec<String> = fleet
-                .status()
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"replica\": {}, \"applied_version\": {}, \"queue_depth\": {}, \
-                         \"oldest_retained\": {}, \"health\": \"{}\", \"restarts\": {}, \
-                         \"last_salvage_lsn\": {}}}",
-                        s.replica,
-                        s.applied_version,
-                        s.queue_depth,
-                        s.oldest_retained,
-                        s.health,
-                        s.restarts,
-                        s.last_salvage_lsn
-                            .map_or("null".to_string(), |lsn| lsn.to_string()),
-                    )
-                })
-                .collect();
-            format!(
-                ", \"fleet\": {{\"replicas\": {replicas}, \"failovers\": {}, \
-                 \"checkpoints_taken\": {}, \"checkpoint_recoveries\": {}, \
-                 \"genesis_recoveries\": {}, \"endpoints\": [{}]}}",
-                fleet.failovers(),
-                supervisor.checkpoints_taken,
-                supervisor.checkpoint_recoveries,
-                supervisor.genesis_recoveries,
-                endpoints.join(", "),
-            )
-        }
-    };
-    println!(
-        "{{\"queries\": {queries}, \"distinct\": {}, \"workers\": {}, \
-         \"consistency\": \"{consistency_name}\", \"deadline_ms\": {}, \"work_cap\": {}, \
-         \"version\": {}, \"applied_version\": {}, \"queue_depth\": {}, \
-         \"read_your_writes\": {read_your_writes}, \"elapsed_secs\": {}, \
-         \"cache\": {{\"capacity\": {cache_capacity}, \"hits\": {hits}, \
-         \"misses\": {}, \"hit_rate\": {}, \"entries\": {}}}, \
-         \"deadline_exceeded\": {}, \"work_budget_exceeded\": {}, \"errors\": {errors}, \
-         \"executed_work\": {}, \
-         \"queue_secs\": {}, \"exec_secs\": {}{fleet_field}}}",
-        query_nodes.len(),
-        serving.primary().workers(),
-        deadline_ms.map_or("null".to_string(), |ms| ms.to_string()),
-        work_cap.map_or("null".to_string(), |w| w.to_string()),
-        serving.primary().version(),
-        stats.applied_version,
-        stats.queue_depth,
-        json_f64(elapsed),
-        answered - hits,
-        json_f64(if answered > 0 {
-            hits as f64 / answered as f64
-        } else {
-            0.0
-        }),
-        stats.cache_entries,
-        stats.deadline_exceeded,
-        stats.work_budget_exceeded,
-        stats.executed_work,
-        latency_json(&queue_secs),
-        latency_json(&exec_secs),
-    );
+    if let Serving::Fleet(fleet) = &serving {
+        let supervisor = fleet.supervisor_stats();
+        let endpoints = fleet
+            .status()
+            .iter()
+            .map(|s| {
+                Json::obj(vec![
+                    ("replica", Json::uint(s.replica)),
+                    ("applied_version", Json::UInt(s.applied_version)),
+                    ("queue_depth", Json::UInt(s.queue_depth)),
+                    ("oldest_retained", Json::UInt(s.oldest_retained)),
+                    ("health", Json::Str(s.health.to_string())),
+                    ("restarts", Json::UInt(s.restarts)),
+                    ("last_salvage_lsn", optional(s.last_salvage_lsn)),
+                ])
+            })
+            .collect();
+        summary.push((
+            "fleet",
+            Json::obj(vec![
+                ("replicas", Json::uint(replicas)),
+                ("failovers", Json::UInt(fleet.failovers())),
+                (
+                    "checkpoints_taken",
+                    Json::UInt(supervisor.checkpoints_taken),
+                ),
+                (
+                    "checkpoint_recoveries",
+                    Json::UInt(supervisor.checkpoint_recoveries),
+                ),
+                (
+                    "genesis_recoveries",
+                    Json::UInt(supervisor.genesis_recoveries),
+                ),
+                ("endpoints", Json::Arr(endpoints)),
+            ]),
+        ));
+    }
+    println!("{}", Json::obj(summary));
     Ok(())
 }
 
@@ -712,67 +736,54 @@ fn pair(args: &[String]) -> Result<(), String> {
 }
 
 /// Serializes one [`QueryOutput`] as a JSON object: query descriptor,
-/// sparse scores (touched nodes only), ranked answer, and stats. Pass a
-/// NaN `elapsed` to omit the timing field (batch mode times the batch).
-fn query_output_json(output: &QueryOutput, elapsed: f64) -> String {
-    let query_desc = match output.query {
-        Query::SingleSource { node } => {
-            format!("{{\"kind\": \"single_source\", \"node\": {node}}}")
-        }
-        Query::TopK { node, k } => format!("{{\"kind\": \"top_k\", \"node\": {node}, \"k\": {k}}}"),
-        Query::Threshold { node, tau } => format!(
-            "{{\"kind\": \"threshold\", \"node\": {node}, \"tau\": {}}}",
-            json_f64(tau)
+/// sparse scores (touched nodes only), ranked answer, and stats. Pass
+/// `None` for `elapsed` to omit the timing field (batch mode times the
+/// batch).
+fn query_output_json(output: &QueryOutput, elapsed: Option<f64>) -> Json {
+    let (kind, parameter) = match output.query {
+        Query::SingleSource { .. } => ("single_source", None),
+        Query::TopK { k, .. } => ("top_k", Some(("k", Json::uint(k)))),
+        Query::Threshold { tau, .. } => ("threshold", Some(("tau", Json::Num(tau)))),
+    };
+    let mut query = vec![
+        ("kind", Json::Str(kind.to_string())),
+        ("node", Json::UInt(output.query.node().into())),
+    ];
+    query.extend(parameter);
+    let scored = |pairs: &mut dyn Iterator<Item = (NodeId, f64)>| {
+        Json::Arr(
+            pairs
+                .map(|(v, s)| {
+                    Json::obj(vec![
+                        ("node", Json::UInt(v.into())),
+                        ("score", Json::Num(s)),
+                    ])
+                })
+                .collect(),
+        )
+    };
+    let mut fields = vec![
+        ("query", Json::obj(query)),
+        ("num_nodes", Json::uint(output.scores.num_nodes())),
+        ("touched", Json::uint(output.scores.len())),
+        ("baseline", Json::Num(output.scores.baseline())),
+        ("scores", scored(&mut output.scores.iter())),
+        ("ranking", scored(&mut output.ranking().into_iter())),
+        (
+            "stats",
+            Json::Obj(
+                output
+                    .stats
+                    .fields()
+                    .map(|(name, n)| (name.to_string(), Json::uint(n)))
+                    .collect(),
+            ),
         ),
-    };
-    let scores: Vec<String> = output
-        .scores
-        .iter()
-        .map(|(v, s)| format!("{{\"node\": {v}, \"score\": {}}}", json_f64(s)))
-        .collect();
-    let ranking: Vec<String> = output
-        .ranking()
-        .iter()
-        .map(|&(v, s)| format!("{{\"node\": {v}, \"score\": {}}}", json_f64(s)))
-        .collect();
-    let elapsed_field = if elapsed.is_finite() {
-        format!(", \"elapsed_secs\": {}", json_f64(elapsed))
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"query\": {query_desc}, \"num_nodes\": {}, \"touched\": {}, \"baseline\": {}, \
-         \"scores\": [{}], \"ranking\": [{}], \"stats\": {}{elapsed_field}}}",
-        output.scores.num_nodes(),
-        output.scores.len(),
-        json_f64(output.scores.baseline()),
-        scores.join(", "),
-        ranking.join(", "),
-        stats_json(&output.stats),
-    )
-}
-
-fn stats_json(stats: &QueryStats) -> String {
-    // Serialized off the named-field snapshot, so new counters flow into
-    // the CLI JSON without touching this function.
-    let fields: Vec<String> = stats
-        .fields()
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-/// JSON-safe float formatting (`Display` for f64 round-trips and never
-/// produces exponent-free non-JSON tokens for finite values).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let formatted = format!("{x}");
-        // `1e-7`-style output is valid JSON; bare `inf`/`NaN` is not, but
-        // finite guards above keep us here.
-        formatted
-    } else {
-        "null".to_string()
+    ];
+    if let Some(secs) = elapsed {
+        fields.push(("elapsed_secs", Json::Num(secs)));
     }
+    Json::obj(fields)
 }
 
 #[cfg(test)]
