@@ -49,8 +49,9 @@
 //! call graph. The stoplist also means a *real* lock hidden behind one
 //! of those generic names is missed; workspace-specific names (`apply`,
 //! `snapshot`, `submit`, `resolve`, …) propagate normally. Closure
-//! indirection (observer callbacks) is invisible to the call graph;
-//! edges through it must be documented rather than inferred.
+//! indirection (the update log's `append_with` producer) is invisible to
+//! the call graph; edges through it must be documented rather than
+//! inferred.
 
 use std::collections::{BTreeMap, BTreeSet};
 

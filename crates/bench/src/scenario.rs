@@ -1486,9 +1486,9 @@ fn run_service_interactive_mix(
                     }
                     std::thread::sleep(Duration::from_micros(50));
                 }
-                // The writer's cost per event: store mutation (which
-                // fires the cache invalidation observer) + snapshot
-                // publication + retention-ring maintenance.
+                // The writer's cost per event: store mutation + cache
+                // invalidation + snapshot publication + retention-ring
+                // maintenance.
                 update_latency.time(|| service.commit(update));
             }
             update_latency

@@ -8,9 +8,9 @@
 //!   `ℓt = ⌊log εt / log √c⌋`),
 //! * `εp` — probe-pruning error (pruning rule 2).
 //!
-//! Theorem 2 requires `ε + (1+ε)/(1−√c)·εp + εt/2 ≤ εa` (the `/2` assumes
-//! the one-sided truncation compensation; without compensation the full
-//! `εt` must fit). [`ErrorBudget::derive`] performs that split.
+//! Theorem 2 requires `ε + (1+ε)/(1−√c)·εp + εt ≤ εa` (the paper's `εt/2`
+//! assumes a one-sided truncation compensation this crate does not apply,
+//! so the full `εt` must fit). [`ErrorBudget::derive`] performs that split.
 
 /// Which PROBE implementation the query driver should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,11 +32,6 @@ pub enum ProbeStrategy {
 pub struct Optimizations {
     /// Pruning rule 1: truncate √c-walks at `ℓt` steps.
     pub truncate_walks: bool,
-    /// Pruning rule 1 refinement: add `εt/2` to every nonzero estimate,
-    /// centering the one-sided truncation error. Off by default: it helps
-    /// the worst-case bound but inflates near-zero scores, and the paper's
-    /// own AbsError plots are consistent with it being disabled.
-    pub truncation_compensation: bool,
     /// Pruning rule 2: drop frontier entries whose best-case contribution
     /// `Score(x)·(√c)^(i−j−1)` is at most `εp`.
     pub prune_scores: bool,
@@ -59,7 +54,6 @@ impl Default for Optimizations {
     fn default() -> Self {
         Optimizations {
             truncate_walks: true,
-            truncation_compensation: false,
             prune_scores: true,
             batch_walks: true,
             fuse_probes: true,
@@ -74,7 +68,6 @@ impl Optimizations {
     pub fn basic() -> Self {
         Optimizations {
             truncate_walks: false,
-            truncation_compensation: false,
             prune_scores: false,
             batch_walks: false,
             fuse_probes: false,
@@ -192,13 +185,8 @@ impl ErrorBudget {
         let opts = &cfg.optimizations;
         let sampling = cfg.epsilon / 2.0;
         let (truncation, walk_cap) = if opts.truncate_walks {
-            // Theorem 2 charges εt/2 with compensation, εt without.
-            let share = cfg.epsilon / 4.0;
-            let eps_t = if opts.truncation_compensation {
-                2.0 * share
-            } else {
-                share
-            };
+            // Theorem 2 charges the full εt (no truncation compensation).
+            let eps_t = cfg.epsilon / 4.0;
             let cap = (eps_t.ln() / sqrt_c.ln()).floor().max(1.0) as usize;
             (eps_t, cap)
         } else {
@@ -238,13 +226,8 @@ impl ErrorBudget {
 
     /// The guaranteed worst-case absolute error of this split — the
     /// Theorem 2 inequality with the corrected pruning coefficient (see
-    /// [`ErrorBudget::derive`]), for `compensated` truncation or not.
-    pub fn guaranteed_error(&self, sqrt_c: f64, compensated: bool) -> f64 {
-        let trunc = if compensated {
-            self.truncation / 2.0
-        } else {
-            self.truncation
-        };
+    /// [`ErrorBudget::derive`]).
+    pub fn guaranteed_error(&self, sqrt_c: f64) -> f64 {
         let expectation_bound = sqrt_c / ((1.0 - sqrt_c) * (1.0 - sqrt_c));
         let kappa = if self.walk_cap == usize::MAX {
             expectation_bound
@@ -252,7 +235,7 @@ impl ErrorBudget {
             let cap = self.walk_cap as f64;
             expectation_bound.min(cap * (cap - 1.0) / 2.0)
         };
-        self.sampling + (1.0 + self.sampling) * kappa.max(1.0) * self.pruning + trunc
+        self.sampling + (1.0 + self.sampling) * kappa.max(1.0) * self.pruning + self.truncation
     }
 }
 
@@ -265,7 +248,7 @@ mod tests {
         for eps in [0.0125, 0.025, 0.05, 0.1, 0.2] {
             let cfg = ProbeSimConfig::paper(eps);
             let b = cfg.budget();
-            let lhs = b.guaranteed_error(cfg.sqrt_decay(), false);
+            let lhs = b.guaranteed_error(cfg.sqrt_decay());
             assert!(
                 lhs <= eps + 1e-12,
                 "budget violates Theorem 2 at eps={eps}: lhs={lhs}"
@@ -274,21 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn compensated_budget_satisfies_theorem2() {
-        let mut cfg = ProbeSimConfig::paper(0.05);
-        cfg.optimizations.truncation_compensation = true;
-        let b = cfg.budget();
-        let lhs = b.guaranteed_error(cfg.sqrt_decay(), true);
-        assert!(lhs <= 0.05 + 1e-12, "lhs = {lhs}");
-    }
-
-    #[test]
     fn walk_cap_matches_paper_example() {
         // Paper, Section 4.1 running example: √c = 0.5, εt = 0.05 gives a
         // walk truncated to 4 nodes.
         let mut cfg = ProbeSimConfig::new(0.25, 0.2, 0.01);
         cfg.optimizations.truncate_walks = true;
-        cfg.optimizations.truncation_compensation = false;
         let b = cfg.budget();
         assert!((b.truncation - 0.05).abs() < 1e-12);
         assert_eq!(b.walk_cap, 4);
@@ -302,7 +275,7 @@ mod tests {
         assert_eq!(b.pruning, 0.0);
         assert_eq!(b.walk_cap, usize::MAX);
         // With pruning disabled the whole bound is the sampling error.
-        assert!(b.guaranteed_error(cfg.sqrt_decay(), false) <= 0.1);
+        assert!(b.guaranteed_error(cfg.sqrt_decay()) <= 0.1);
     }
 
     #[test]

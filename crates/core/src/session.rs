@@ -226,8 +226,7 @@ pub fn validate<G: GraphView>(graph: &G, query: &Query) -> Result<(), QueryError
 ///
 /// Only nodes actually reached by a probe are stored, so the memory
 /// footprint is proportional to work done, not to `n`. Untouched nodes
-/// implicitly score `baseline` (0.0 normally; `εt/2` when truncation
-/// compensation is enabled) and the query node scores 1.0 by definition.
+/// implicitly score 0.0 and the query node scores 1.0 by definition.
 ///
 /// Entries are sorted by node id; [`SparseScores::score`] is a binary
 /// search. [`SparseScores::to_dense`] reproduces the legacy dense vector
@@ -236,24 +235,16 @@ pub fn validate<G: GraphView>(graph: &G, query: &Query) -> Result<(), QueryError
 pub struct SparseScores {
     query: NodeId,
     num_nodes: usize,
-    baseline: f64,
-    /// Raw accumulated scores (baseline not yet applied), sorted by node
-    /// id, query node excluded.
+    /// Accumulated scores, sorted by node id, query node excluded.
     entries: Vec<(NodeId, f64)>,
 }
 
 impl SparseScores {
-    pub(crate) fn new(
-        query: NodeId,
-        num_nodes: usize,
-        baseline: f64,
-        entries: Vec<(NodeId, f64)>,
-    ) -> Self {
+    pub(crate) fn new(query: NodeId, num_nodes: usize, entries: Vec<(NodeId, f64)>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         SparseScores {
             query,
             num_nodes,
-            baseline,
             entries,
         }
     }
@@ -268,13 +259,6 @@ impl SparseScores {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// The implicit score of untouched nodes (nonzero only under
-    /// truncation compensation).
-    #[inline]
-    pub fn baseline(&self) -> f64 {
-        self.baseline
     }
 
     /// Number of touched nodes (query node excluded).
@@ -301,29 +285,15 @@ impl SparseScores {
             return 1.0;
         }
         match self.entries.binary_search_by_key(&v, |e| e.0) {
-            Ok(i) => self.apply_baseline(self.entries[i].1),
-            Err(_) => self.baseline,
-        }
-    }
-
-    #[inline]
-    fn apply_baseline(&self, raw: f64) -> f64 {
-        // Skip the add when the baseline is zero so `raw` passes through
-        // bit-for-bit (matching the dense path, which only adds the
-        // compensation term when it is enabled).
-        if self.baseline != 0.0 {
-            raw + self.baseline
-        } else {
-            raw
+            Ok(i) => self.entries[i].1,
+            Err(_) => 0.0,
         }
     }
 
     /// Iterates the touched `(node, score)` pairs in ascending node order,
-    /// scores final (baseline applied), query node excluded.
+    /// query node excluded.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.entries
-            .iter()
-            .map(move |&(v, raw)| (v, self.apply_baseline(raw)))
+        self.entries.iter().copied()
     }
 
     /// The `k` highest-scoring nodes (excluding `u`), descending, ties
@@ -344,8 +314,8 @@ impl SparseScores {
             ranked.truncate(k);
             return ranked;
         }
-        // Fewer touched nodes than k: pad with untouched nodes at the
-        // baseline score, ascending id (the dense ranking's tie-break).
+        // Fewer touched nodes than k: pad with untouched nodes at score
+        // 0.0, ascending id (the dense ranking's tie-break).
         let mut padded = ranked;
         for v in 0..self.num_nodes as NodeId {
             if padded.len() == k {
@@ -354,35 +324,16 @@ impl SparseScores {
             if v == self.query || self.entries.binary_search_by_key(&v, |e| e.0).is_ok() {
                 continue;
             }
-            padded.push((v, self.baseline));
+            padded.push((v, 0.0));
         }
         padded
     }
 
     /// Nodes with estimate strictly above `tau` (excluding `u`),
     /// unordered — the sparse counterpart of
-    /// [`SingleSourceResult::above_threshold`]. Includes untouched nodes
-    /// when the compensation baseline itself exceeds `tau`.
+    /// [`SingleSourceResult::above_threshold`]. Untouched nodes score 0.0
+    /// and the validated `tau` is at least 0, so they never qualify.
     pub fn above_threshold(&self, tau: f64) -> Vec<(NodeId, f64)> {
-        if self.baseline > tau {
-            // Every non-query node qualifies; materialize the dense view.
-            let mut all: Vec<(NodeId, f64)> = Vec::with_capacity(self.num_nodes - 1);
-            let mut next_entry = 0;
-            for v in 0..self.num_nodes as NodeId {
-                if v == self.query {
-                    continue;
-                }
-                let score = if next_entry < self.entries.len() && self.entries[next_entry].0 == v {
-                    let raw = self.entries[next_entry].1;
-                    next_entry += 1;
-                    self.apply_baseline(raw)
-                } else {
-                    self.baseline
-                };
-                all.push((v, score));
-            }
-            return all;
-        }
         self.iter().filter(|&(_, s)| s > tau).collect()
     }
 
@@ -390,9 +341,9 @@ impl SparseScores {
     /// every `v`, `scores[u] = 1.0`. Bit-for-bit identical to what the
     /// original dense pipeline produced.
     pub fn to_dense(&self) -> Vec<f64> {
-        let mut dense = vec![self.baseline; self.num_nodes];
-        for &(v, raw) in &self.entries {
-            dense[v as usize] = self.apply_baseline(raw);
+        let mut dense = vec![0.0; self.num_nodes];
+        for &(v, score) in &self.entries {
+            dense[v as usize] = score;
         }
         dense[self.query as usize] = 1.0;
         dense
@@ -717,11 +668,6 @@ impl<G: GraphView> QuerySession<G> {
                 BudgetExceeded::Work => QueryError::WorkBudgetExceeded { partial: stats },
             });
         }
-        let baseline = if config.optimizations.truncation_compensation && budget.truncation > 0.0 {
-            budget.truncation / 2.0
-        } else {
-            0.0
-        };
         // Drain extracts the touched entries in ascending node order and
         // restores the accumulator's clean invariant in the same pass.
         let mut entries: Vec<(NodeId, f64)> = Vec::with_capacity(self.last_touched);
@@ -731,7 +677,7 @@ impl<G: GraphView> QuerySession<G> {
         self.queries_run += 1;
         Ok(QueryOutput {
             query,
-            scores: SparseScores::new(u, n, baseline, entries),
+            scores: SparseScores::new(u, n, entries),
             stats,
         })
     }
@@ -770,32 +716,10 @@ impl ProbeSim {
     /// `threads = 0` picks the machine's available parallelism (capped at
     /// 8). Every query is validated before any work starts, and per-query
     /// RNG derivation makes the answers identical to sequential
-    /// execution.
+    /// execution. Passing a `probesim_graph::GraphSnapshot` answers the
+    /// whole batch against its one pinned version, even while a writer
+    /// keeps updating the store that published it.
     pub fn par_batch<G: GraphView + Sync>(
-        &self,
-        graph: &G,
-        queries: &[Query],
-        threads: usize,
-    ) -> Result<BatchOutput, QueryError> {
-        // A `&G` is itself a Clone + Send GraphView, so the shared-borrow
-        // mode is the owned mode instantiated with a borrow: each worker
-        // "clones" the reference and pools a session around it.
-        self.par_batch_owned(&graph, queries, threads)
-    }
-
-    /// [`ProbeSim::par_batch`] in **snapshot-per-thread** mode: every
-    /// worker binds its session to its *own clone* of `graph` instead of
-    /// a shared borrow.
-    ///
-    /// Designed for `probesim_graph::GraphSnapshot`, where a clone is
-    /// one `Arc` bump: each worker holds an owned, version-pinned view,
-    /// so the whole batch answers against one consistent graph version
-    /// even while a writer keeps updating the store that published it —
-    /// and the per-worker sessions can never return
-    /// [`QueryError::GraphResized`]. Answers are bit-for-bit identical
-    /// to [`ProbeSim::par_batch`] and to sequential execution (per-query
-    /// RNG derivation).
-    pub fn par_batch_owned<G: GraphView + Clone + Send + Sync>(
         &self,
         graph: &G,
         queries: &[Query],
@@ -817,7 +741,7 @@ impl ProbeSim {
         let outputs = crate::par::ordered_map_with(
             queries.len(),
             threads,
-            || self.session(graph.clone()),
+            || self.session(graph),
             |session, i| session.run_validated(queries[i]),
         );
         let mut stats = QueryStats::default();
@@ -894,8 +818,7 @@ mod tests {
             assert_eq!(out.scores.score(v).to_bits(), dense[v as usize].to_bits());
         }
         assert_eq!(out.scores.score(A), 1.0);
-        // iter() yields exactly the nonzero non-query entries here (no
-        // compensation => baseline 0).
+        // iter() yields exactly the touched non-query entries.
         for (v, s) in out.scores.iter() {
             assert_eq!(dense[v as usize].to_bits(), s.to_bits());
             assert_ne!(v, A);
@@ -907,7 +830,7 @@ mod tests {
     #[test]
     fn top_k_pads_with_untouched_nodes() {
         // Node 0 has one in-neighbor; most nodes are unreachable, so a
-        // large k must pad with baseline-scored nodes like the dense path.
+        // large k must pad with zero-scored nodes like the dense path.
         let g = CsrGraph::from_edges(6, &[(1, 0), (1, 2)]);
         let mut session = engine(0.05).session(&g);
         let out = session.run(Query::TopK { node: 0, k: 5 }).unwrap();
@@ -932,26 +855,6 @@ mod tests {
         reference
             .sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
         assert_eq!(ranking, reference);
-    }
-
-    #[test]
-    fn compensation_baseline_is_reflected_everywhere() {
-        let g = toy_graph();
-        let mut cfg = ProbeSimConfig::new(TOY_DECAY, 0.1, 0.01).with_seed(0xBEEF);
-        cfg.optimizations.truncation_compensation = true;
-        let e = ProbeSim::new(cfg);
-        let mut session = e.session(&g);
-        let out = session.run(Query::SingleSource { node: A }).unwrap();
-        assert!(out.scores.baseline() > 0.0);
-        let dense_ref = e.single_source_dense_reference(&g, A);
-        assert_eq!(out.scores.to_dense(), dense_ref.scores);
-        // Untouched nodes read back the baseline.
-        let untouched: Vec<u32> = (0..8u32)
-            .filter(|&v| v != A && out.scores.iter().all(|(t, _)| t != v))
-            .collect();
-        for v in untouched {
-            assert_eq!(out.scores.score(v), out.scores.baseline());
-        }
     }
 
     #[test]
@@ -1094,7 +997,7 @@ mod tests {
     }
 
     #[test]
-    fn par_batch_owned_matches_sequential_on_snapshots() {
+    fn par_batch_matches_sequential_on_snapshots() {
         use probesim_graph::GraphStore;
         let g = toy_graph();
         let store = GraphStore::from_view(&g);
@@ -1103,13 +1006,13 @@ mod tests {
         let queries: Vec<Query> = (0..8).map(|v| Query::SingleSource { node: v }).collect();
         let sequential = e.session(&g).run_batch(&queries).unwrap();
         for threads in [0, 1, 2, 4] {
-            let parallel = e.par_batch_owned(&snap, &queries, threads).unwrap();
+            let parallel = e.par_batch(&snap, &queries, threads).unwrap();
             assert_eq!(parallel.outputs, sequential.outputs, "threads = {threads}");
             assert_eq!(parallel.stats, sequential.stats);
         }
         // Validation still runs up front.
         let err = e
-            .par_batch_owned(&snap, &[Query::TopK { node: A, k: 0 }], 2)
+            .par_batch(&snap, &[Query::TopK { node: A, k: 0 }], 2)
             .unwrap_err();
         assert_eq!(err, QueryError::InvalidK { k: 0 });
     }

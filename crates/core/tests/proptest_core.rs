@@ -16,12 +16,10 @@ proptest! {
         decay in 0.05f64..0.95,
         epsilon in 0.005f64..0.5,
         delta in 0.001f64..0.2,
-        compensation in any::<bool>(),
     ) {
-        let mut cfg = ProbeSimConfig::new(decay, epsilon, delta);
-        cfg.optimizations.truncation_compensation = compensation;
+        let cfg = ProbeSimConfig::new(decay, epsilon, delta);
         let budget = cfg.budget();
-        let lhs = budget.guaranteed_error(cfg.sqrt_decay(), compensation);
+        let lhs = budget.guaranteed_error(cfg.sqrt_decay());
         prop_assert!(lhs <= epsilon + 1e-9, "lhs = {lhs}, eps = {epsilon}");
         prop_assert!(budget.sampling > 0.0);
         prop_assert!(budget.pruning >= 0.0);

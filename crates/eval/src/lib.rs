@@ -29,7 +29,7 @@ pub use algorithms::{
     FingerprintAlgo, McAlgo, ProbeSimAlgo, SimRankAlgorithm, TopSimAlgo, TsfAlgo,
 };
 pub use groundtruth::GroundTruth;
-pub use parallel::{run_queries, run_queries_owned};
+pub use parallel::run_queries;
 pub use pooling::Pool;
 pub use queries::{sample_query_nodes, ZipfRanks};
 pub use runner::{human_bytes, human_secs, timed, Aggregate};

@@ -14,7 +14,7 @@
 //! a per-thread `QuerySession` so worker-local scratch memory is
 //! allocated once per thread instead of once per query.
 
-use probesim_graph::{GraphView, NodeId};
+use probesim_graph::NodeId;
 
 /// Runs `f(query)` for every query node on `threads` worker threads,
 /// returning results in the order of `queries`.
@@ -30,30 +30,6 @@ where
     F: Fn(NodeId) -> T + Sync,
 {
     probesim_core::par::ordered_map_with(queries.len(), threads, || (), |_, i| f(queries[i]))
-}
-
-/// [`run_queries`] in **owned-handle** mode: each worker thread receives
-/// its own clone of `graph` and passes it to `f` alongside the query
-/// node.
-///
-/// The intended graph type is `probesim_graph::GraphSnapshot`, whose
-/// clone is one `Arc` bump — every worker then reads a version-pinned,
-/// immutable view, so an experiment sweep stays consistent even when the
-/// `GraphStore` that published the snapshot keeps taking updates on
-/// another thread. Any `GraphView + Clone` works (a `CsrGraph` clone is
-/// a deep copy; prefer the borrowed [`run_queries`] there).
-pub fn run_queries_owned<G, T, F>(graph: &G, queries: &[NodeId], threads: usize, f: F) -> Vec<T>
-where
-    G: GraphView + Clone + Send + Sync,
-    T: Send,
-    F: Fn(&G, NodeId) -> T + Sync,
-{
-    probesim_core::par::ordered_map_with(
-        queries.len(),
-        threads,
-        || graph.clone(),
-        |g, i| f(g, queries[i]),
-    )
 }
 
 /// A suggested worker count: the machine's parallelism, capped at 8 (the
@@ -123,7 +99,7 @@ mod tests {
     fn owned_snapshot_sweep_matches_borrowed_csr_sweep() {
         use probesim_core::Query;
         use probesim_graph::GraphStore;
-        // The runner accepts snapshots: every worker owns a version-pinned
+        // The runner accepts snapshots: every query owns a version-pinned
         // clone, and the sweep is bit-identical to the borrowed-CSR path.
         let g = toy_graph();
         let store = GraphStore::from_view(&g);
@@ -137,9 +113,9 @@ mod tests {
                 .unwrap()
                 .scores
         });
-        let owned = run_queries_owned(&snapshot, &queries, 4, |snap, u| {
+        let owned = run_queries(&queries, 4, |u| {
             engine
-                .session(snap.clone())
+                .session(snapshot.clone())
                 .run(Query::SingleSource { node: u })
                 .unwrap()
                 .scores

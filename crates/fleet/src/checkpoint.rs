@@ -295,8 +295,8 @@ mod tests {
     #[test]
     fn to_store_restores_state_and_version() {
         let mut store = GraphStore::from_edges(4, &[(0, 1), (1, 2)]);
-        store.commit(GraphUpdate::Insert { u: 2, v: 3 });
-        store.commit(GraphUpdate::Remove { u: 0, v: 1 });
+        store.apply(GraphUpdate::Insert { u: 2, v: 3 });
+        store.apply(GraphUpdate::Remove { u: 0, v: 1 });
         let snapshot = store.snapshot();
         let checkpoint = Checkpoint::from_snapshot(&snapshot);
         assert_eq!(checkpoint.lsn(), 2);
@@ -312,8 +312,8 @@ mod tests {
 
         // The restored store continues the version sequence.
         let mut restored = restored;
-        let commit = restored.commit(GraphUpdate::Insert { u: 3, v: 0 });
-        assert_eq!(commit.version, 3);
+        assert!(restored.apply(GraphUpdate::Insert { u: 3, v: 0 }));
+        assert_eq!(restored.version(), 3);
     }
 
     #[test]

@@ -183,16 +183,6 @@ impl ReplicaRegistry {
             .unwrap_or(0)
     }
 
-    /// The least advanced replica's applied version (0 with no slots).
-    pub fn oldest_applied(&self) -> u64 {
-        self.inner
-            .slots
-            .iter()
-            .map(|slot| slot.applied.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Sets replica `slot`'s health and wakes every waiter (a recovery
     /// or a quarantine must unblock routing decisions immediately).
     pub fn set_health(&self, slot: usize, health: ReplicaHealth) {
@@ -256,12 +246,6 @@ impl ReplicaRegistry {
         }
     }
 
-    /// Blocks until at least one replica has applied `version`, up to
-    /// `timeout`. Returns whether the condition holds on return.
-    pub fn wait_for_any_at_least(&self, version: u64, timeout: Duration) -> bool {
-        self.wait_until(timeout, || self.newest_applied() >= version)
-    }
-
     /// Blocks until at least one **routable** (non-quarantined) replica
     /// has applied `version`, up to `timeout`. Returns whether the
     /// condition holds on return. Health transitions wake this wait,
@@ -272,14 +256,6 @@ impl ReplicaRegistry {
                 ReplicaHealth::from_u8(slot.health.load(Ordering::Acquire)).is_routable()
                     && slot.applied.load(Ordering::Acquire) >= version
             })
-        })
-    }
-
-    /// Blocks until **every** replica has applied `version`, up to
-    /// `timeout`. Returns whether the condition holds on return.
-    pub fn wait_for_all_at_least(&self, version: u64, timeout: Duration) -> bool {
-        self.wait_until(timeout, || {
-            self.slots() == 0 || self.oldest_applied() >= version
         })
     }
 
@@ -337,30 +313,31 @@ mod tests {
         registry.publish_applied(2, 3);
         assert_eq!(registry.applied(1), 5);
         assert_eq!(registry.newest_applied(), 5);
-        assert_eq!(registry.oldest_applied(), 0);
+        assert_eq!(registry.applied(0), 0);
         assert_eq!(registry.applied_versions(), vec![0, 5, 3]);
     }
 
     #[test]
     fn wait_times_out_when_nobody_catches_up() {
         let registry = ReplicaRegistry::new(1);
-        assert!(!registry.wait_for_any_at_least(1, Duration::from_millis(20)));
-        assert!(registry.wait_for_any_at_least(0, Duration::ZERO));
+        assert!(!registry.wait_for_any_routable_at_least(1, Duration::from_millis(20)));
+        assert!(registry.wait_for_any_routable_at_least(0, Duration::ZERO));
     }
 
     #[test]
     fn wait_wakes_on_publish() {
         let registry = ReplicaRegistry::new(2);
         let waiter = registry.clone();
-        let handle =
-            std::thread::spawn(move || waiter.wait_for_any_at_least(4, Duration::from_secs(10)));
+        let handle = std::thread::spawn(move || {
+            waiter.wait_for_any_routable_at_least(4, Duration::from_secs(10))
+        });
         std::thread::sleep(Duration::from_millis(10));
         registry.publish_applied(0, 4);
         assert!(handle.join().unwrap());
         // All-replica wait still fails: slot 1 is behind.
-        assert!(!registry.wait_for_all_at_least(4, Duration::from_millis(20)));
+        assert!(!registry.wait_for_all_routable_at_least(4, Duration::from_millis(20)));
         registry.publish_applied(1, 4);
-        assert!(registry.wait_for_all_at_least(4, Duration::ZERO));
+        assert!(registry.wait_for_all_routable_at_least(4, Duration::ZERO));
     }
 
     #[test]

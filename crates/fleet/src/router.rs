@@ -54,6 +54,9 @@ use crate::supervisor::{
 const BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Failover backoff ceiling.
 const BACKOFF_CAP: Duration = Duration::from_millis(32);
+/// How long an `AtLeastVersion` read without a deadline may block on
+/// replication lag.
+const CATCH_UP: Duration = Duration::from_millis(250);
 
 /// Errors the fleet adds on top of [`ServiceError`].
 #[derive(Debug)]
@@ -139,45 +142,33 @@ pub struct ReplicaStatus {
 /// base graph.
 #[derive(Debug, Clone)]
 pub struct FleetBuilder {
-    config: ProbeSimConfig,
+    /// The per-endpoint service configuration.
+    service: ServiceBuilder,
     replicas: usize,
-    workers: usize,
-    cache_capacity: usize,
-    retained_versions: usize,
-    default_deadline: Option<Duration>,
     max_pending: u64,
-    catch_up: Duration,
     faults: FaultPlan,
     supervision_tick: Duration,
     checkpoint_every: u64,
     restart_budget: u64,
-    degraded_after: Duration,
-    quarantine_after: Duration,
 }
 
 impl FleetBuilder {
     /// A builder with 2 replicas, 1 worker per endpoint, a 256-entry
-    /// cache, 8 retained versions, a 1024-deep admission limit, a
-    /// 250 ms catch-up budget for deadline-less reads, and supervision
-    /// defaults of a 2 ms tick, a checkpoint every 32 versions, a
-    /// 3-respawn restart budget and a 200 ms / 1 s degrade/quarantine
-    /// watchdog.
+    /// cache, 8 retained versions, a 1024-deep admission limit, and
+    /// supervision defaults of a 2 ms tick, a checkpoint every 32
+    /// versions and a 3-respawn restart budget.
     pub fn new(config: ProbeSimConfig) -> FleetBuilder {
         FleetBuilder {
-            config,
+            service: ServiceBuilder::new(config)
+                .workers(1)
+                .cache_capacity(256)
+                .retained_versions(8),
             replicas: 2,
-            workers: 1,
-            cache_capacity: 256,
-            retained_versions: 8,
-            default_deadline: None,
             max_pending: 1024,
-            catch_up: Duration::from_millis(250),
             faults: FaultPlan::none(),
             supervision_tick: Duration::from_millis(2),
             checkpoint_every: 32,
             restart_budget: 3,
-            degraded_after: Duration::from_millis(200),
-            quarantine_after: Duration::from_secs(1),
         }
     }
 
@@ -187,27 +178,28 @@ impl FleetBuilder {
         self
     }
 
-    /// Worker threads per endpoint.
+    /// Worker threads per endpoint ([`ServiceBuilder::workers`]: `0`
+    /// auto-sizes).
     pub fn workers(mut self, workers: usize) -> FleetBuilder {
-        self.workers = workers.max(1);
+        self.service = self.service.workers(workers);
         self
     }
 
     /// Result-cache capacity per endpoint.
     pub fn cache_capacity(mut self, capacity: usize) -> FleetBuilder {
-        self.cache_capacity = capacity;
+        self.service = self.service.cache_capacity(capacity);
         self
     }
 
     /// Pinned-read retention window per endpoint.
     pub fn retained_versions(mut self, retained: usize) -> FleetBuilder {
-        self.retained_versions = retained;
+        self.service = self.service.retained_versions(retained);
         self
     }
 
     /// Default deadline forwarded to every endpoint.
     pub fn default_deadline(mut self, deadline: Duration) -> FleetBuilder {
-        self.default_deadline = Some(deadline);
+        self.service = self.service.default_deadline(deadline);
         self
     }
 
@@ -220,23 +212,7 @@ impl FleetBuilder {
         self
     }
 
-    /// How long an `AtLeastVersion` read without a deadline may block
-    /// on replication lag.
-    pub fn catch_up(mut self, budget: Duration) -> FleetBuilder {
-        self.catch_up = budget;
-        self
-    }
-
-    /// Injects replication lag: replica `slot` sleeps `delay` before
-    /// applying each log record (testing / lag-sensitivity benchmarks).
-    /// Shorthand for a slow-apply fault in the plan.
-    pub fn lag(mut self, slot: usize, delay: Duration) -> FleetBuilder {
-        self.faults = self.faults.with_slow_apply(slot, delay);
-        self
-    }
-
-    /// Installs a deterministic [`FaultPlan`] (merged over any `lag`
-    /// shorthand already set — later wins per slot/fault).
+    /// Installs a deterministic [`FaultPlan`].
     pub fn faults(mut self, plan: FaultPlan) -> FleetBuilder {
         self.faults = plan;
         self
@@ -263,38 +239,13 @@ impl FleetBuilder {
         self
     }
 
-    /// Progress watchdog thresholds: a behind, non-progressing replica
-    /// turns `Degraded` after `degraded_after` and `Quarantined` after
-    /// `quarantine_after`.
-    pub fn watchdog(
-        mut self,
-        degraded_after: Duration,
-        quarantine_after: Duration,
-    ) -> FleetBuilder {
-        self.degraded_after = degraded_after;
-        self.quarantine_after = quarantine_after.max(degraded_after);
-        self
-    }
-
     /// Builds the fleet: one primary plus `replicas` tailing replicas,
     /// each seeded with its own copy of `base`, plus the supervision
     /// thread.
     pub fn build(self, base: CsrGraph) -> Fleet {
-        let service_config = self.config.clone();
-        let workers = self.workers;
-        let cache_capacity = self.cache_capacity;
-        let retained_versions = self.retained_versions;
-        let default_deadline = self.default_deadline;
-        let factory: EndpointFactory = Arc::new(move |store: GraphStore| {
-            let mut builder = ServiceBuilder::new(service_config.clone())
-                .workers(workers)
-                .cache_capacity(cache_capacity)
-                .retained_versions(retained_versions);
-            if let Some(deadline) = default_deadline {
-                builder = builder.default_deadline(deadline);
-            }
-            Arc::new(builder.build(store))
-        });
+        let service = self.service;
+        let factory: EndpointFactory =
+            Arc::new(move |store: GraphStore| Arc::new(service.clone().build(store)));
         let log = UpdateLog::new();
         let registry = ReplicaRegistry::new(self.replicas);
         let primary = factory(GraphStore::from_csr(base.clone()));
@@ -317,8 +268,6 @@ impl FleetBuilder {
                 tick: self.supervision_tick,
                 checkpoint_every: self.checkpoint_every,
                 restart_budget: self.restart_budget,
-                degraded_after: self.degraded_after,
-                quarantine_after: self.quarantine_after,
             },
             Arc::clone(&primary),
             log.clone(),
@@ -340,7 +289,6 @@ impl FleetBuilder {
             counters,
             failovers: AtomicU64::new(0),
             max_pending: self.max_pending,
-            catch_up: self.catch_up,
         }
     }
 }
@@ -358,7 +306,6 @@ pub struct Fleet {
     counters: Arc<SupervisorCounters>,
     failovers: AtomicU64,
     max_pending: u64,
-    catch_up: Duration,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -425,10 +372,10 @@ impl Fleet {
 
     fn call_at_least(&self, version: u64, request: Request) -> Result<Response, FleetError> {
         // Block on replication lag, but never past the request's own
-        // deadline (or the builder's catch-up budget without one), and
+        // deadline (or the catch-up budget without one), and
         // charge every wait — catch-up and failover backoff alike —
         // against the deadline we forward.
-        let budget = request.deadline.unwrap_or(self.catch_up);
+        let budget = request.deadline.unwrap_or(CATCH_UP);
         let started = Instant::now();
         let mut backoff = BACKOFF_BASE;
         loop {
@@ -497,7 +444,9 @@ impl Fleet {
             .collect();
         if eligible.is_empty() {
             // No replica retains it; the primary either serves the pin
-            // or produces the typed `VersionNotRetained` error.
+            // or produces the typed `VersionNotRetained` error (a pin
+            // below its window) or `VersionNotReached` (a pin above its
+            // newest version).
             return self.dispatch(&[Arc::clone(&self.primary)], request);
         }
         match self.dispatch(&eligible, request) {

@@ -10,8 +10,8 @@
 //!    of genesis, so restart cost is O(log suffix), not O(history).
 //! 2. **Progress watchdog** — compare each replica's applied version
 //!    against the log head; a replica that is behind and has not
-//!    advanced for `degraded_after` turns [`ReplicaHealth::Degraded`],
-//!    past `quarantine_after` it turns [`ReplicaHealth::Quarantined`]
+//!    advanced for `DEGRADED_AFTER` turns [`ReplicaHealth::Degraded`],
+//!    past `QUARANTINE_AFTER` it turns [`ReplicaHealth::Quarantined`]
 //!    and the router stops dispatching into it. Progress (or catching
 //!    up) heals the state back — quarantine is a routing decision, not
 //!    a death sentence.
@@ -37,6 +37,11 @@ use crate::checkpoint::Checkpoint;
 use crate::log::UpdateLog;
 use crate::registry::{ReplicaHealth, ReplicaRegistry};
 use crate::replica::ReplicaShared;
+
+/// No progress while behind for this long: `Degraded`.
+const DEGRADED_AFTER: Duration = Duration::from_millis(200);
+/// No progress while behind for this long: `Quarantined`.
+const QUARANTINE_AFTER: Duration = Duration::from_secs(1);
 
 /// The latest retained checkpoint, shared between the supervisor (which
 /// refreshes it on cadence), recoveries (which restore from it) and
@@ -94,10 +99,6 @@ pub(crate) struct SupervisorConfig {
     pub checkpoint_every: u64,
     /// Respawns allowed per replica before it is retired.
     pub restart_budget: u64,
-    /// No progress while behind for this long: `Degraded`.
-    pub degraded_after: Duration,
-    /// No progress while behind for this long: `Quarantined`.
-    pub quarantine_after: Duration,
 }
 
 /// Cumulative supervisor activity, exposed via
@@ -271,9 +272,9 @@ fn supervise_tick(
         let stalled_for = state.last_progress.elapsed();
         let health = if applied >= target {
             ReplicaHealth::Healthy
-        } else if stalled_for >= config.quarantine_after {
+        } else if stalled_for >= QUARANTINE_AFTER {
             ReplicaHealth::Quarantined
-        } else if stalled_for >= config.degraded_after {
+        } else if stalled_for >= DEGRADED_AFTER {
             ReplicaHealth::Degraded
         } else {
             ReplicaHealth::Healthy

@@ -76,7 +76,7 @@ fn scratch_answer(
     let mut store = GraphStore::from_csr(CsrGraph::from_edges(N, base_edges));
     for record in records.iter().filter(|r| r.lsn <= version) {
         assert!(
-            store.commit(record.update).was_effective(),
+            store.apply(record.update),
             "log records are effective by construction"
         );
     }
@@ -250,7 +250,7 @@ fn recovery_from_a_checkpoint_replays_only_the_suffix() {
     assert_eq!(restored.version(), 6);
     let mut scratch = GraphStore::from_csr(CsrGraph::from_edges(6, &[(0, 1)]));
     for update in &updates[..6] {
-        assert!(scratch.commit(*update).was_effective());
+        assert!(scratch.apply(*update));
     }
     let mut a: Vec<_> = restored.snapshot().edges_iter().collect();
     let mut b: Vec<_> = scratch.snapshot().edges_iter().collect();

@@ -13,9 +13,9 @@
 use std::time::Duration;
 
 use probesim_core::{ProbeSimConfig, Query, QueryOutput};
-use probesim_fleet::{Fleet, FleetError, LogRecord};
+use probesim_fleet::{FaultPlan, Fleet, FleetError, LogRecord};
 use probesim_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView, NodeId};
-use probesim_service::{Consistency, Request, ServiceBuilder};
+use probesim_service::{Consistency, Request, ServiceBuilder, ServiceError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,7 +90,7 @@ fn scratch_answer(
     let mut store = GraphStore::from_csr(CsrGraph::from_edges(N, base_edges));
     for record in records.iter().filter(|r| r.lsn <= version) {
         assert!(
-            store.commit(record.update).was_effective(),
+            store.apply(record.update),
             "log records are effective by construction"
         );
     }
@@ -119,7 +119,7 @@ proptest! {
             // One replica lags on every applied record; the router must
             // route around it (or wait it out) without ever serving a
             // stale read.
-            .lag(1, Duration::from_millis(2))
+            .faults(FaultPlan::none().with_slow_apply(1, Duration::from_millis(2)))
             .build(base);
 
         let mut checks: Vec<Check> = Vec::new();
@@ -172,7 +172,7 @@ proptest! {
             .replicas(3)
             .workers(1)
             .retained_versions(64)
-            .lag(2, Duration::from_millis(1))
+            .faults(FaultPlan::none().with_slow_apply(2, Duration::from_millis(1)))
             .build(base);
 
         for _ in 0..24 {
@@ -248,10 +248,36 @@ fn zero_admission_sheds_with_a_typed_overload_error() {
 }
 
 #[test]
+fn auto_sized_workers_match_the_service() {
+    let base = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+    let service = ServiceBuilder::new(config(7))
+        .workers(0)
+        .build(GraphStore::from_csr(base.clone()));
+    let fleet = Fleet::builder(config(7)).replicas(1).workers(0).build(base);
+    assert_eq!(fleet.primary().workers(), service.workers());
+}
+
+#[test]
+fn pinning_a_future_version_reports_not_reached() {
+    let fleet = Fleet::builder(config(7))
+        .replicas(1)
+        .build(CsrGraph::from_edges(3, &[(0, 1), (1, 2)]));
+    match fleet.call(
+        Request::new(Query::SingleSource { node: 0 }).with_consistency(Consistency::Pinned(3)),
+    ) {
+        Err(FleetError::Service(ServiceError::VersionNotReached {
+            requested: 3,
+            newest: 0,
+        })) => {}
+        other => panic!("expected VersionNotReached, got {other:?}"),
+    }
+}
+
+#[test]
 fn hopelessly_lagging_replicas_produce_a_typed_error() {
     let fleet = Fleet::builder(config(7))
         .replicas(1)
-        .lag(0, Duration::from_millis(250))
+        .faults(FaultPlan::none().with_slow_apply(0, Duration::from_millis(250)))
         .build(CsrGraph::from_edges(3, &[(0, 1), (1, 2)]));
     let commit = fleet.commit(GraphUpdate::Insert { u: 2, v: 0 });
     match fleet.call(
@@ -294,7 +320,7 @@ fn log_replay_reconstructs_the_primary_exactly() {
     assert_eq!(decoded.len() as u64, fleet.version());
     let mut rebuilt = GraphStore::from_csr(CsrGraph::from_edges(N, &base_edges));
     for record in &decoded {
-        assert!(rebuilt.commit(record.update).was_effective());
+        assert!(rebuilt.apply(record.update));
     }
     let mut replayed: Vec<_> = rebuilt.snapshot().edges_iter().collect();
     let mut primary: Vec<_> = fleet.primary().snapshot().edges_iter().collect();

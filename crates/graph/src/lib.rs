@@ -69,9 +69,7 @@ pub use error::GraphError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use overlay::OverlayGraph;
 pub use stats::DegreeStats;
-pub use store::{
-    Commit, CompactionPolicy, GraphSnapshot, GraphStore, GraphUpdate, MutationObserver,
-};
+pub use store::{Commit, CompactionPolicy, GraphSnapshot, GraphStore, GraphUpdate};
 pub use view::GraphView;
 
 /// Dense node identifier. Graphs in this workspace address nodes as

@@ -1,5 +1,5 @@
 //! The versioned graph store: single-writer updates, lock-free
-//! multi-reader snapshots, background compaction.
+//! multi-reader snapshots, inline compaction on the writer.
 //!
 //! ProbeSim is index-free: a query needs nothing but the current graph.
 //! [`GraphStore`] is that graph, the one mutable tier in the workspace.
@@ -17,7 +17,8 @@
 //!   published by [`GraphStore::snapshot`] and valid forever, no matter
 //!   what the writer does next;
 //! * when the touched fraction of the overlay crosses the
-//!   [`CompactionPolicy`] threshold, [`GraphStore::compact`] folds the
+//!   [`CompactionPolicy`] threshold, [`GraphStore::apply`] runs
+//!   [`GraphStore::compact`] inline, on the writer, which folds the
 //!   overlay into a fresh CSR base through the
 //!   [`CsrGraph::from_edge_iter`] streaming path. Compaction changes the
 //!   representation, never the logical graph: published snapshots keep
@@ -164,23 +165,11 @@ pub struct GraphStore {
     /// releases the cache's `Arc`s so COW sees only real snapshot
     /// holders.
     published: std::sync::Mutex<Option<GraphSnapshot>>,
-    /// Writer-side mutation hook: called with the new version after
-    /// every *effective* mutation (see
-    /// [`GraphStore::set_mutation_observer`]). The serving tier wires
-    /// its version-keyed result cache's invalidation in here, so a cache
-    /// can never outlive the edge set it was keyed on by mistake — the
-    /// callback runs on the writer thread, inside the mutation, before
-    /// any reader can observe the new version via a fresh snapshot.
-    observer: Option<MutationObserver>,
 }
 
-/// The callback type [`GraphStore::set_mutation_observer`] installs:
-/// invoked with the store's new version after each effective mutation.
-pub type MutationObserver = std::sync::Arc<dyn Fn(u64) + Send + Sync>;
-
-/// The receipt a mutation entry point returns ([`GraphStore::commit`],
-/// `QueryService::commit`, `Fleet::commit`): the store version after
-/// the operation and how many of its events were effective. `version`
+/// The receipt a mutation entry point returns (`QueryService::commit`,
+/// `Fleet::commit`): the store version after the operation and how many
+/// of its events were effective. `version`
 /// identifies the exact edge set the write produced (equal version ⇒
 /// identical edge set), so it slots directly into
 /// `Consistency::AtLeastVersion(commit.version)` for read-your-writes.
@@ -208,7 +197,6 @@ impl std::fmt::Debug for GraphStore {
             .field("version", &self.version)
             .field("policy", &self.policy)
             .field("compactions", &self.compactions)
-            .field("observer", &self.observer.as_ref().map(|_| "Fn(u64)"))
             .finish_non_exhaustive()
     }
 }
@@ -222,10 +210,6 @@ impl Clone for GraphStore {
             compactions: self.compactions,
             // The clone republishes lazily.
             published: std::sync::Mutex::new(None),
-            // Shared on purpose: over-notifying an observer is always
-            // safe (invalidation is conservative), silently dropping it
-            // on clone would not be.
-            observer: self.observer.clone(),
         }
     }
 }
@@ -262,7 +246,6 @@ impl GraphStore {
             policy: CompactionPolicy::default(),
             compactions: 0,
             published: std::sync::Mutex::new(None),
-            observer: None,
         }
     }
 
@@ -287,24 +270,6 @@ impl GraphStore {
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Installs a writer-side mutation observer: `f(new_version)` runs
-    /// after every **effective** mutation (no-op events never fire it),
-    /// on the writer thread, before the new version is observable
-    /// through a fresh snapshot.
-    ///
-    /// This is the invalidation hook for version-keyed derived state —
-    /// the serving tier's result cache drops entries for versions that
-    /// fell out of its retention window here. At most one observer is
-    /// installed; a second call replaces the first.
-    pub fn set_mutation_observer(&mut self, f: impl Fn(u64) + Send + Sync + 'static) {
-        self.observer = Some(Arc::new(f));
-    }
-
-    /// Removes the mutation observer, if any.
-    pub fn clear_mutation_observer(&mut self) {
-        self.observer = None;
     }
 
     /// The active compaction policy.
@@ -342,43 +307,18 @@ impl GraphStore {
 
     /// Inserts the directed edge `u -> v`; `false` if already present.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        self.mutate(GraphUpdate::Insert { u, v })
+        self.apply(GraphUpdate::Insert { u, v })
     }
 
     /// Removes the directed edge `u -> v`; `false` if absent.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        self.mutate(GraphUpdate::Remove { u, v })
+        self.apply(GraphUpdate::Remove { u, v })
     }
 
     /// Applies one update event, bumping the version when it changed the
     /// graph and auto-compacting per the policy. Returns `true` when the
-    /// event was effective. Thin wrapper over [`GraphStore::commit`] for
-    /// call sites that only care about effectiveness.
+    /// event was effective.
     pub fn apply(&mut self, update: GraphUpdate) -> bool {
-        self.mutate(update)
-    }
-
-    /// Applies a sequence of updates, returning how many were effective.
-    pub fn apply_all<I: IntoIterator<Item = GraphUpdate>>(&mut self, updates: I) -> usize {
-        updates
-            .into_iter()
-            .filter(|&update| self.apply(update))
-            .count()
-    }
-
-    /// Applies one update event and returns the [`Commit`] token: the
-    /// store version after the event and whether it was effective. A
-    /// writer can hand `commit.version` straight to a
-    /// `Consistency::AtLeastVersion` read to observe its own write.
-    pub fn commit(&mut self, update: GraphUpdate) -> Commit {
-        let effective = self.mutate(update);
-        Commit {
-            version: self.version,
-            effective: u64::from(effective),
-        }
-    }
-
-    fn mutate(&mut self, update: GraphUpdate) -> bool {
         let (u, v) = update.edge();
         let n = self.num_nodes();
         assert!(
@@ -408,10 +348,15 @@ impl GraphStore {
         {
             self.compact();
         }
-        if let Some(observer) = &self.observer {
-            observer(self.version);
-        }
         changed
+    }
+
+    /// Applies a sequence of updates, returning how many were effective.
+    pub fn apply_all<I: IntoIterator<Item = GraphUpdate>>(&mut self, updates: I) -> usize {
+        updates
+            .into_iter()
+            .filter(|&update| self.apply(update))
+            .count()
     }
 
     /// Folds the overlay into a fresh CSR base via
@@ -596,9 +541,8 @@ mod tests {
         let mut store = GraphStore::from_csr_at(CsrGraph::from_edges(3, &[(0, 1)]), 17);
         assert_eq!(store.version(), 17);
         assert_eq!(store.snapshot().version(), 17);
-        let commit = store.commit(GraphUpdate::Insert { u: 1, v: 2 });
-        assert!(commit.was_effective());
-        assert_eq!(commit.version, 18);
+        assert!(store.apply(GraphUpdate::Insert { u: 1, v: 2 }));
+        assert_eq!(store.version(), 18);
         assert_eq!(store.snapshot().version(), 18);
     }
 
@@ -780,38 +724,6 @@ mod tests {
         let edges_after: Vec<Edge> = snap.edges_iter().collect();
         assert_eq!(edges_before, edges_after);
         assert_same_graph(&snap, &snap.to_csr());
-    }
-
-    #[test]
-    fn mutation_observer_fires_on_effective_mutations_only() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let seen = Arc::new(AtomicU64::new(0));
-        let fired = Arc::new(AtomicU64::new(0));
-        let mut store = GraphStore::new(4);
-        store.set_mutation_observer({
-            let seen = Arc::clone(&seen);
-            let fired = Arc::clone(&fired);
-            move |version| {
-                seen.store(version, Ordering::SeqCst);
-                fired.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert!(store.insert_edge(0, 1));
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
-        assert!(!store.insert_edge(0, 1), "duplicate insert is a no-op");
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "no-op must not fire");
-        assert!(store.remove_edge(0, 1));
-        assert_eq!(seen.load(Ordering::SeqCst), 2);
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-        // Compaction is not a mutation and never fires the observer.
-        store.insert_edge(1, 2);
-        store.compact();
-        assert_eq!(fired.load(Ordering::SeqCst), 3);
-        // Clearing stops notifications; mutations still work.
-        store.clear_mutation_observer();
-        assert!(store.insert_edge(2, 3));
-        assert_eq!(fired.load(Ordering::SeqCst), 3);
-        assert_eq!(store.version(), 4);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! Entries for a version never become *wrong* — the version pins them —
 //! they become *unreachable*: once a version leaves the service's
 //! snapshot-retention window, no request can resolve to it, so its
-//! entries are dead weight. The writer-side hook installed via
-//! [`probesim_graph::GraphStore::set_mutation_observer`] calls
+//! entries are dead weight. `QueryService::commit` calls
 //! [`ResultCache::invalidate_below`] on every effective mutation, keyed
 //! off the new version, so memory is bounded by `capacity` *live*
 //! entries even under heavy churn. `Latest` consistency needs no
@@ -291,14 +290,14 @@ impl ResultCache {
     }
 
     /// Drops every entry whose version is below `floor` — the
-    /// writer-side invalidation hook wired into `GraphStore::mutate`
-    /// via the mutation observer. Returns how many entries were dropped.
+    /// writer-side invalidation `QueryService::commit` runs after each
+    /// effective mutation. Returns how many entries were dropped.
     pub fn invalidate_below(&self, floor: u64) -> usize {
         if self.capacity == 0 {
             return 0;
         }
         let mut inner = self.inner.lock().expect("cache poisoned");
-        // Common case (the observer fires on *every* effective mutation,
+        // Common case (the writer calls this on *every* effective mutation,
         // but the floor only reaches resident versions once they age out
         // of the retention window): nothing below the floor — O(1), no
         // scan, no allocation, mutex released in nanoseconds.

@@ -44,9 +44,10 @@
 //! 5. **respond** — the [`Response`] reports the answering version, the
 //!    queue/exec latency split and `cache_hit`.
 //!
-//! Writer side, [`QueryService::commit`] mutates the owned store — which
-//! fires the cache-invalidation observer *inside* `GraphStore::mutate` —
-//! then publishes a fresh snapshot and extends the pinned-version
+//! Writer side, [`QueryService::commit`] mutates the owned store, drops
+//! the cache entries whose version left the retention window (under the
+//! store lock, before the new version is visible), then publishes a
+//! fresh snapshot and extends the pinned-version
 //! retention ring, returning a [`Commit`] token whose `version` can be
 //! handed straight to `Consistency::AtLeastVersion` for read-your-writes.
 //! Because every effective mutation bumps the version, `Latest` can

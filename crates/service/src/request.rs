@@ -36,7 +36,9 @@ pub enum Consistency {
     AtLeastVersion(u64),
     /// Answer at exactly the given version. Fails with
     /// [`ServiceError::VersionNotRetained`] when the version has fallen
-    /// out of the service's retention window.
+    /// out of the service's retention window, and with
+    /// [`ServiceError::VersionNotReached`] when the store has not
+    /// published it yet.
     Pinned(u64),
 }
 
@@ -191,8 +193,8 @@ pub enum ServiceError {
         /// Newest published version.
         newest: u64,
     },
-    /// `Consistency::AtLeastVersion(v)` asked for a version the store
-    /// has not reached.
+    /// `Consistency::AtLeastVersion(v)` or `Consistency::Pinned(v)`
+    /// asked for a version the store has not reached.
     VersionNotReached {
         /// The version floor the request demanded.
         requested: u64,

@@ -92,10 +92,9 @@ impl ServiceBuilder {
     }
 
     /// Builds the service around `store`, taking ownership: the store
-    /// becomes the service's single-writer state, its mutation observer
-    /// is wired to the result cache's invalidation, and the worker pool
+    /// becomes the service's single-writer state and the worker pool
     /// starts immediately.
-    pub fn build(self, mut store: GraphStore) -> QueryService {
+    pub fn build(self, store: GraphStore) -> QueryService {
         let workers = if self.workers == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -105,26 +104,10 @@ impl ServiceBuilder {
             self.workers
         };
         let retained_versions = self.retained_versions.max(1);
-        let cache = Arc::new(ResultCache::new(self.cache_capacity));
-
-        // Writer-side invalidation, wired into GraphStore::mutate: every
-        // effective mutation drops cache entries whose version fell out
-        // of the retention window. Versions are contiguous under the
-        // service's per-event publishing, so the floor is exact; if a
-        // caller compacts or batches behind our back it is merely
-        // conservative (over-invalidation is always safe).
-        store.set_mutation_observer({
-            let cache = Arc::clone(&cache);
-            let window = retained_versions as u64;
-            move |version| {
-                cache.invalidate_below((version + 1).saturating_sub(window));
-            }
-        });
-
         let first = store.snapshot();
         let shared = Arc::new(Shared {
             engine: ProbeSim::new(self.config),
-            cache,
+            cache: ResultCache::new(self.cache_capacity),
             default_deadline: self.default_deadline,
             state: Mutex::new(ServeState {
                 interactive: VecDeque::new(),
@@ -185,6 +168,9 @@ pub struct ServiceStats {
     pub executed_work: u64,
     /// Live cache entries.
     pub cache_entries: usize,
+    /// Cache entries dropped by writer-side invalidation (see
+    /// [`ResultCache::invalidated`]).
+    pub cache_invalidated: u64,
     /// Requests accepted but not yet answered (`submitted - completed`)
     /// — the router's load signal.
     pub queue_depth: u64,
@@ -225,7 +211,7 @@ impl ServeState {
 
 struct Shared {
     engine: ProbeSim,
-    cache: Arc<ResultCache>,
+    cache: ResultCache,
     default_deadline: Option<Duration>,
     state: Mutex<ServeState>,
     queue_cv: Condvar,
@@ -252,6 +238,9 @@ impl Shared {
                 } else {
                     Err(ServiceError::VersionNotReached { requested, newest })
                 }
+            }
+            Consistency::Pinned(requested) if requested > newest => {
+                Err(ServiceError::VersionNotReached { requested, newest })
             }
             Consistency::Pinned(requested) => published
                 .retained
@@ -411,9 +400,9 @@ fn serve(
 ///   answering version, the queue/exec latency split and whether the
 ///   cache served them.
 /// * **The writer** goes through [`QueryService::commit`]: each
-///   effective update mutates the store (firing the cache-invalidation
-///   observer inside `GraphStore::mutate`), publishes a fresh snapshot
-///   and extends the pinned-version retention window. The returned [`Commit`] token
+///   effective update mutates the store, drops the cache entries that
+///   left the retention window, publishes a fresh snapshot and extends
+///   the pinned-version retention window. The returned [`Commit`] token
 ///   carries the reached version — the exact floor a read-your-writes
 ///   `AtLeastVersion` read needs.
 ///
@@ -472,8 +461,8 @@ impl QueryService {
     }
 
     /// Applies one graph update through the service's writer path.
-    /// Effective updates invalidate the affected cache window (inside
-    /// `GraphStore::mutate`), publish a fresh snapshot and extend the
+    /// Effective updates invalidate the cache entries that fell out of
+    /// the retention window, publish a fresh snapshot and extend the
     /// retention ring; no-ops change nothing. The returned [`Commit`]
     /// token carries the published version, so
     /// `service.call(request.with_consistency(Consistency::AtLeastVersion(commit.version)))`
@@ -483,6 +472,15 @@ impl QueryService {
         let effective = store.apply(update);
         let version = store.version();
         if effective {
+            // Writer-side invalidation, still under the store lock and
+            // before the new version is published: drop the entries
+            // whose version left the retention window. Versions are
+            // contiguous under per-event publishing, so the floor is
+            // exact.
+            let window = self.retained_versions as u64;
+            self.shared
+                .cache
+                .invalidate_below((version + 1).saturating_sub(window));
             let snapshot = store.snapshot();
             let mut published = self
                 .shared
@@ -551,6 +549,7 @@ impl QueryService {
             work_budget_exceeded: self.shared.work_budget_exceeded.load(Ordering::Relaxed),
             executed_work: self.shared.executed_work.load(Ordering::Relaxed),
             cache_entries: self.shared.cache.len(),
+            cache_invalidated: self.shared.cache.invalidated(),
             queue_depth: self.queue_depth(),
             applied_version: self.version(),
         }
@@ -715,6 +714,25 @@ mod tests {
             err,
             ServiceError::VersionNotRetained { requested: 0, .. }
         ));
+    }
+
+    #[test]
+    fn pinning_a_future_version_reports_not_reached() {
+        let service = toy_service(16);
+        assert_eq!(service.version(), 0);
+        let err = service
+            .call(
+                Request::new(Query::SingleSource { node: A })
+                    .with_consistency(Consistency::Pinned(3)),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServiceError::VersionNotReached {
+                requested: 3,
+                newest: 0
+            }
+        );
     }
 
     #[test]

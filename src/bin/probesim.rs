@@ -7,7 +7,7 @@
 //!                     [--decay C] [--seed S] [--probe-path fused|legacy]
 //!                     [--store] [--output text|json]
 //! probesim batch      <graph-file> --nodes A,B,C [--top K] [--threads T] [--store]
-//!                     [--readers N] [--output text|json]
+//!                     [--output text|json]
 //! probesim serve-bench <graph-file> [--queries N] [--distinct D] [--workers W]
 //!                     [--deadline-ms MS] [--work-cap W] [--cache-capacity C]
 //!                     [--consistency latest|pinned|at-least] [--update-every K]
@@ -30,9 +30,8 @@
 //! [`GraphStore`]: queries then run against an owned, version-pinned
 //! `GraphSnapshot` — the serving configuration where readers never block
 //! a writer — and answers are bit-for-bit identical to the direct CSR
-//! path. `batch --store --readers N` shards the batch across `N` reader
-//! threads, each holding its own snapshot clone
-//! (`ProbeSim::par_batch_owned`).
+//! path. `batch --store --threads N` shards the batch across `N` threads
+//! reading that one snapshot.
 //!
 //! `serve-bench` drives the full serving facade
 //! (`probesim_service::QueryService`): a Zipf-repeated query stream with
@@ -71,14 +70,12 @@ const USAGE: &str = "usage:
   probesim generate <dataset> [--scale ci|laptop] [--out FILE]
   probesim stats    <graph-file>
   probesim query    <graph-file> --node N [--top K | --tau T] [--eps E] [--delta D] [--decay C] [--seed S] [--probe-path fused|legacy] [--store] [--output text|json]
-  probesim batch    <graph-file> --nodes A,B,C [--top K] [--threads T] [--eps E] [--seed S] [--probe-path fused|legacy] [--store] [--readers N] [--output text|json]
+  probesim batch    <graph-file> --nodes A,B,C [--top K] [--threads T] [--eps E] [--seed S] [--probe-path fused|legacy] [--store] [--output text|json]
   probesim serve-bench <graph-file> [--queries N] [--distinct D] [--workers W] [--deadline-ms MS] [--work-cap W] [--cache-capacity C] [--consistency latest|pinned[:V]|at-least[:V]] [--update-every K] [--replicas R] [--eps E] [--seed S]
   probesim pair     <graph-file> --u A --v B [--walks R] [--decay C] [--seed S]
 
   --store      route the graph through the versioned GraphStore and query an
                owned snapshot (identical answers; the serving configuration)
-  --readers N  with --store: shard the batch over N snapshot-holding reader
-               threads (default: --threads)
 
 serve-bench (drives the QueryService facade, prints one JSON object):
   --queries N          stream length (default 64)
@@ -119,14 +116,7 @@ fn run(args: &[String]) -> Result<(), String> {
         ),
         "batch" => (
             batch,
-            &[
-                "--nodes",
-                "--top",
-                "--threads",
-                "--store",
-                "--readers",
-                "--output",
-            ],
+            &["--nodes", "--top", "--threads", "--store", "--output"],
             true,
         ),
         "serve-bench" => (
@@ -377,17 +367,12 @@ fn batch(args: &[String]) -> Result<(), String> {
                 .map_err(|_| format!("batch: cannot parse node id {tok:?}"))
         })
         .collect::<Result<_, _>>()?;
-    if has_flag(args, "--readers") && !has_flag(args, "--store") {
-        return Err("batch: --readers only applies with --store (use --threads otherwise)".into());
-    }
     let start = std::time::Instant::now();
     let batch = if has_flag(args, "--store") {
-        // Snapshot-per-thread: each reader owns an Arc-cheap clone of one
-        // published version; answers are bit-identical to the
-        // shared-borrow path.
-        let readers: usize = flag(args, "--readers", threads)?;
+        // Every thread reads one published version; answers are
+        // bit-identical to the direct CSR path.
         let store = probesim_graph::GraphStore::from_csr(graph);
-        engine.par_batch_owned(&store.snapshot(), &queries, readers)
+        engine.par_batch(&store.snapshot(), &queries, threads)
     } else {
         engine.par_batch(&graph, &queries, threads)
     }
@@ -766,7 +751,6 @@ fn query_output_json(output: &QueryOutput, elapsed: Option<f64>) -> Json {
         ("query", Json::obj(query)),
         ("num_nodes", Json::uint(output.scores.num_nodes())),
         ("touched", Json::uint(output.scores.len())),
-        ("baseline", Json::Num(output.scores.baseline())),
         ("scores", scored(&mut output.scores.iter())),
         ("ranking", scored(&mut output.ranking().into_iter())),
         (

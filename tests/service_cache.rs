@@ -220,8 +220,9 @@ fn repeat_pass_is_all_hits_with_zero_work_delta() {
 }
 
 /// Writer-side invalidation bounds the cache: entries whose version
-/// leaves the retention window are dropped inside `GraphStore::mutate`
-/// (observable through the invalidation counter and entry count).
+/// leaves the retention window are dropped inside `QueryService::commit`
+/// (observable through the invalidation counter and entry count), and
+/// only effective commits invalidate.
 #[test]
 fn writer_side_invalidation_prunes_unreachable_versions() {
     let g = probesim_graph::toy::toy_graph();
@@ -236,15 +237,28 @@ fn writer_side_invalidation_prunes_unreachable_versions() {
         .unwrap();
     assert_eq!(first.version, 0);
     assert_eq!(service.stats().cache_entries, 1);
+    // No-op commits (a duplicate insert, then an absent remove) change
+    // neither the version nor the cache.
+    for no_op in [
+        GraphUpdate::Insert { u: 1, v: 0 },
+        GraphUpdate::Remove { u: 0, v: 0 },
+    ] {
+        assert!(!service.commit(no_op).was_effective());
+    }
+    let stats = service.stats();
+    assert_eq!(service.version(), 0);
+    assert_eq!((stats.cache_entries, stats.cache_invalidated), (1, 0));
     // Two effective mutations push version 0 out of the 2-deep window;
-    // the observer fires inside mutate and prunes the entry.
+    // the commit path prunes the entry.
     assert!(service
         .commit(GraphUpdate::Remove { u: 1, v: 0 })
         .was_effective());
     assert!(service
         .commit(GraphUpdate::Remove { u: 2, v: 0 })
         .was_effective());
-    assert_eq!(service.stats().cache_entries, 0, "stale entry pruned");
+    let stats = service.stats();
+    assert_eq!(stats.cache_entries, 0, "stale entry pruned");
+    assert_eq!(stats.cache_invalidated, 1);
     // And the pruned version is indeed unreachable.
     let err = service
         .call(

@@ -77,7 +77,7 @@ proptest! {
                     .scores
                     .iter()
                     .enumerate()
-                    .filter(|&(v, &s)| v as NodeId != u && s != sparse.scores.baseline())
+                    .filter(|&(v, &s)| v as NodeId != u && s != 0.0)
                     .count();
                 prop_assert_eq!(sparse.scores.len(), touched);
             }
