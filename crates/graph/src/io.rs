@@ -324,14 +324,22 @@ mod tests {
         assert!(matches!(err, GraphError::Corrupt(_)));
     }
 
+    /// Byte-exhaustive: every strict prefix of a written graph — inside
+    /// the header, at an edge boundary, mid-edge — is `Corrupt`.
     #[test]
     fn binary_rejects_truncation() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (3, 3), (2, 0)]);
         let mut buf = Vec::new();
         write_binary(&mut buf, &g).unwrap();
-        buf.truncate(buf.len() - 4);
-        let err = read_binary(Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)));
+        for cut in 0..buf.len() {
+            let err = read_binary(Cursor::new(&buf[..cut])).unwrap_err();
+            assert!(
+                matches!(err, GraphError::Corrupt(_)),
+                "prefix of {cut}/{} bytes: {err:?}",
+                buf.len()
+            );
+        }
+        assert_eq!(read_binary(Cursor::new(&buf[..])).unwrap(), g);
     }
 
     /// A header with `n` nodes, `m` edges and no edge payload.

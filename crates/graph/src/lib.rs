@@ -41,11 +41,12 @@
 //! Both fix the node count at construction: updates change edges, never
 //! the vertex set.
 //!
-//! The store's overlay keeps untouched nodes on the base's CSR slices
-//! (cold path: one emptiness check), materializes a touched node's
-//! adjacency as its own sorted vec, and folds back into a fresh CSR when
-//! the touched fraction crosses the [`CompactionPolicy`] threshold —
-//! without invalidating any published snapshot.
+//! The store's overlay keeps untouched nodes on the base's CSR slices,
+//! materializes a touched node's adjacency as its own sorted vec, and
+//! folds back into a fresh CSR when the touched fraction crosses the
+//! [`CompactionPolicy`] threshold — without invalidating any published
+//! snapshot. A snapshot reads through a dense per-node index built on
+//! its first read, so its reads cost about what CSR reads cost.
 //!
 //! ## Conventions
 //!

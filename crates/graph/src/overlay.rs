@@ -1,21 +1,25 @@
 //! Per-node copy-on-write adjacency overlay over an immutable CSR base.
 //!
 //! [`OverlayGraph`] is the mutable half of the versioned store
-//! ([`crate::store::GraphStore`]): it owns an `Arc<CsrGraph>` base plus a
-//! map of *touched* adjacency lists. A node that has never been mutated
-//! resolves straight to the base's CSR slice — the cold path costs one
-//! emptiness check and one hash probe, no copying — while the first
+//! ([`crate::store::GraphStore`]): it owns an `Arc<CsrGraph>` base plus,
+//! per direction, the *touched* adjacency lists in touch order and a
+//! hash map from node to its slot among them. On the writer, a node that
+//! has never been mutated resolves straight to the base's CSR slice —
+//! one emptiness check and one hash probe, no copying — while the first
 //! mutation of a node materializes that one adjacency list as an owned
 //! sorted `Vec` (wrapped in an `Arc` so published snapshots can keep the
-//! old value alive for free).
+//! old value alive for free). Published snapshots do not read through
+//! the hash maps: they read through a dense per-node index of their own
+//! (see [`crate::GraphSnapshot`]).
 //!
 //! The copy-on-write discipline is per node *and* per publish: snapshot
 //! publication (`freeze`, crate-internal — reached through
-//! [`crate::GraphStore::snapshot`]) hands out `Arc` clones of the
-//! touched lists, and the next mutation of a frozen list goes through
-//! [`Arc::make_mut`], which clones the `Vec` only when a snapshot still
-//! holds it. A writer that mutates the same node repeatedly between
-//! publishes therefore pays the clone once, then edits in place.
+//! [`crate::GraphStore::snapshot`]) clones the touched-row vectors,
+//! which hold `Arc`s of the lists, and the next mutation of a frozen
+//! list goes through [`Arc::make_mut`], which clones the `Vec` only when
+//! a snapshot still holds it. A writer that mutates the same node
+//! repeatedly between publishes therefore pays the clone once, then
+//! edits in place.
 
 use std::sync::Arc;
 
@@ -27,22 +31,44 @@ use crate::{CsrGraph, NodeId};
 /// any published snapshots.
 pub(crate) type AdjArc = Arc<Vec<NodeId>>;
 
-/// The frozen, immutable view of an overlay at publish time: `Arc`
-/// clones of every touched list, keyed by node.
-pub(crate) type FrozenAdj = FxHashMap<NodeId, AdjArc>;
+/// The touched rows of one direction, in touch order: each
+/// materialized list paired with its node. A snapshot freezes these as a
+/// plain clone.
+pub(crate) type FrozenRows = Vec<(NodeId, AdjArc)>;
 
-/// Overlay-or-base adjacency resolution — the one lookup path shared by
-/// the live [`OverlayGraph`] and published [`crate::GraphSnapshot`]s, so
-/// the two read surfaces cannot drift apart. Cold path (no touched
-/// lists) is a single emptiness check straight to the base slice.
-#[inline]
-pub(crate) fn resolve<'a>(map: &'a FrozenAdj, v: NodeId, base: &'a [NodeId]) -> &'a [NodeId] {
-    if map.is_empty() {
-        return base;
+/// One direction of the overlay: the touched rows and each touched
+/// node's slot among them. Rows are only ever appended; compaction
+/// starts a fresh overlay.
+#[derive(Debug, Clone, Default)]
+struct TouchedRows {
+    slot: FxHashMap<NodeId, u32>,
+    rows: FrozenRows,
+}
+
+impl TouchedRows {
+    /// Overlay-or-base lookup. Cold path (no touched lists) is a single
+    /// emptiness check straight to the base slice.
+    #[inline]
+    fn resolve<'a>(&'a self, v: NodeId, base: &'a [NodeId]) -> &'a [NodeId] {
+        if self.rows.is_empty() {
+            return base;
+        }
+        match self.slot.get(&v) {
+            Some(&slot) => &self.rows[slot as usize].1,
+            None => base,
+        }
     }
-    match map.get(&v) {
-        Some(list) => list,
-        None => base,
+
+    /// Materializes (on first touch, from `base`) and returns the mutable
+    /// list of `v`. `Arc::make_mut` clones the `Vec` only when a published
+    /// snapshot still shares it.
+    fn touch(&mut self, v: NodeId, base: &[NodeId]) -> &mut Vec<NodeId> {
+        let rows = &mut self.rows;
+        let slot = *self.slot.entry(v).or_insert_with(|| {
+            rows.push((v, Arc::new(base.to_vec())));
+            (rows.len() - 1) as u32
+        });
+        Arc::make_mut(&mut rows[slot as usize].1)
     }
 }
 
@@ -60,8 +86,8 @@ pub(crate) fn resolve<'a>(map: &'a FrozenAdj, v: NodeId, base: &'a [NodeId]) -> 
 #[derive(Debug, Clone)]
 pub struct OverlayGraph {
     base: Arc<CsrGraph>,
-    out: FxHashMap<NodeId, AdjArc>,
-    inn: FxHashMap<NodeId, AdjArc>,
+    out: TouchedRows,
+    inn: TouchedRows,
     num_edges: usize,
 }
 
@@ -71,8 +97,8 @@ impl OverlayGraph {
         let num_edges = base.num_edges();
         OverlayGraph {
             base,
-            out: FxHashMap::default(),
-            inn: FxHashMap::default(),
+            out: TouchedRows::default(),
+            inn: TouchedRows::default(),
             num_edges,
         }
     }
@@ -86,7 +112,7 @@ impl OverlayGraph {
     /// Each is one touched `(node, direction)` pair; an untouched graph
     /// reports 0. The compaction policy thresholds on this against `2n`.
     pub fn touched_lists(&self) -> usize {
-        self.out.len() + self.inn.len()
+        self.out.rows.len() + self.inn.rows.len()
     }
 
     /// Fraction of the `2n` adjacency lists that have been materialized.
@@ -103,41 +129,19 @@ impl OverlayGraph {
     /// base's CSR slice.
     #[inline]
     pub fn out_slice(&self, u: NodeId) -> &[NodeId] {
-        resolve(&self.out, u, self.base.out_neighbors(u))
+        self.out.resolve(u, self.base.out_neighbors(u))
     }
 
     /// The in-adjacency of `v`: overlay if touched, else base.
     #[inline]
     pub fn in_slice(&self, v: NodeId) -> &[NodeId] {
-        resolve(&self.inn, v, self.base.in_neighbors(v))
+        self.inn.resolve(v, self.base.in_neighbors(v))
     }
 
     /// True when the directed edge `u -> v` exists. O(log deg(u)).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.out_slice(u).binary_search(&v).is_ok()
-    }
-
-    /// Materializes (on first touch) and returns the mutable out-list of
-    /// `u`. `Arc::make_mut` clones the `Vec` only when a published
-    /// snapshot still shares it.
-    fn touch_out(&mut self, u: NodeId) -> &mut Vec<NodeId> {
-        let base = &self.base;
-        Arc::make_mut(
-            self.out
-                .entry(u)
-                .or_insert_with(|| Arc::new(base.out_neighbors(u).to_vec())),
-        )
-    }
-
-    /// Same as [`Self::touch_out`] for the in-list of `v`.
-    fn touch_in(&mut self, v: NodeId) -> &mut Vec<NodeId> {
-        let base = &self.base;
-        Arc::make_mut(
-            self.inn
-                .entry(v)
-                .or_insert_with(|| Arc::new(base.in_neighbors(v).to_vec())),
-        )
     }
 
     /// Inserts the directed edge `u -> v`. Returns `false` when it
@@ -151,14 +155,14 @@ impl OverlayGraph {
         );
         // Pre-check so a no-op duplicate insert does not materialize
         // (and permanently touch) the node's adjacency lists. The found
-        // position stays valid after touch_out: materialization copies
+        // position stays valid after the touch: materialization copies
         // the identical content.
         let pos = match self.out_slice(u).binary_search(&v) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        self.touch_out(u).insert(pos, v);
-        let in_v = self.touch_in(v);
+        self.out.touch(u, self.base.out_neighbors(u)).insert(pos, v);
+        let in_v = self.inn.touch(v, self.base.in_neighbors(v));
         let ipos = in_v.binary_search(&u).unwrap_err();
         in_v.insert(ipos, u);
         self.num_edges += 1;
@@ -176,8 +180,8 @@ impl OverlayGraph {
             Err(_) => return false,
             Ok(pos) => pos,
         };
-        self.touch_out(u).remove(pos);
-        let in_v = self.touch_in(v);
+        self.out.touch(u, self.base.out_neighbors(u)).remove(pos);
+        let in_v = self.inn.touch(v, self.base.in_neighbors(v));
         let ipos = in_v
             .binary_search(&u)
             .expect("invariant: in/out adjacency stay synchronized");
@@ -193,10 +197,10 @@ impl OverlayGraph {
         CsrGraph::from_edge_iter(self.num_nodes(), self.edges_iter())
     }
 
-    /// `Arc` clones of the touched lists, for snapshot publication.
+    /// `Arc` clones of the touched rows, for snapshot publication.
     /// O(touched) pointer bumps; no adjacency data is copied.
-    pub(crate) fn freeze(&self) -> (FrozenAdj, FrozenAdj) {
-        (self.out.clone(), self.inn.clone())
+    pub(crate) fn freeze(&self) -> (FrozenRows, FrozenRows) {
+        (self.out.rows.clone(), self.inn.rows.clone())
     }
 }
 
@@ -320,7 +324,7 @@ mod tests {
         let mut overlay = OverlayGraph::new(base());
         overlay.insert_edge(3, 0);
         let (out, _inn) = overlay.freeze();
-        let frozen = out.get(&3).unwrap().clone();
+        let frozen = Arc::clone(&out.iter().find(|(v, _)| *v == 3).unwrap().1);
         assert_eq!(frozen.as_slice(), &[0]);
         // Mutating after the freeze clones the shared Vec (make_mut):
         overlay.insert_edge(3, 2);

@@ -29,10 +29,18 @@
 //! present edge or a removal of an absent one is a no-op), so two
 //! snapshots with equal versions carry identical edge sets — the
 //! invariant the snapshot-isolation tests pin down bit-for-bit.
+//!
+//! Publishing freezes the touched rows as two `(node, list)` vectors of
+//! `Arc` clones: O(touched), no adjacency data copied. A snapshot's
+//! first adjacency read builds its dense read index — per node, the
+//! out-row slot and the in-row slot with the in-degree, O(n + touched)
+//! once — and every later read is a direct index load: no emptiness
+//! check, no hash probe, and `in_degree` is one load. Snapshots that are
+//! never read never pay for the index.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::overlay::{resolve, FrozenAdj, OverlayGraph};
+use crate::overlay::{FrozenRows, OverlayGraph};
 use crate::view::GraphView;
 use crate::{CsrGraph, Edge, NodeId};
 
@@ -77,12 +85,12 @@ impl GraphUpdate {
 
 /// When [`GraphStore`] folds its overlay back into a fresh CSR base.
 ///
-/// The overlay's per-query overhead grows with the number of
-/// materialized adjacency lists (hash probes on the hot neighbor lookup,
-/// O(touched) snapshot publication), so a long-running writer should
-/// periodically pay one O(n + m) rebuild to return the cold path to pure
-/// CSR. Compaction triggers after an effective update when **both**
-/// bounds are exceeded:
+/// Publishing a snapshot costs O(touched) and building a read snapshot's
+/// index costs O(n + touched), and both grow with the number of
+/// materialized adjacency lists; so does the writer's own memory. A
+/// long-running writer should therefore periodically pay one O(n + m)
+/// rebuild to fold the overlay back into pure CSR. Compaction triggers
+/// after an effective update when **both** bounds are exceeded:
 ///
 /// * `touched_lists >= min_touched_lists` — tiny overlays are cheap no
 ///   matter the fraction; don't rebuild a 1M-node graph because 10 of
@@ -399,6 +407,7 @@ impl GraphStore {
                 out,
                 inn,
                 num_edges: self.num_edges(),
+                index: OnceLock::new(),
             }),
         };
         *published = Some(snapshot.clone());
@@ -446,9 +455,50 @@ impl GraphView for GraphStore {
 struct SnapshotState {
     version: u64,
     base: Arc<CsrGraph>,
-    out: FrozenAdj,
-    inn: FrozenAdj,
+    out: FrozenRows,
+    inn: FrozenRows,
     num_edges: usize,
+    /// Built on the first adjacency read; see [`ReadIndex`].
+    index: OnceLock<ReadIndex>,
+}
+
+/// The slot value meaning "this node's row is the base's CSR row".
+const BASE_ROW: u32 = u32::MAX;
+
+/// A snapshot's dense read index: 12 bytes per node. `out[u]` is `u`'s
+/// slot in the frozen out-rows, `inn[v]` is `v`'s slot in the frozen
+/// in-rows paired with `|I(v)|` as of publication; a [`BASE_ROW`] slot
+/// reads the base. Slots are below `n` and degrees at most `n`, and `n`
+/// is at most `NodeId::MAX`, so both fit and no slot is the sentinel.
+struct ReadIndex {
+    out: Box<[u32]>,
+    inn: Box<[(u32, u32)]>,
+}
+
+impl SnapshotState {
+    #[inline]
+    fn index(&self) -> &ReadIndex {
+        self.index.get_or_init(|| self.build_index())
+    }
+
+    fn build_index(&self) -> ReadIndex {
+        let base = &*self.base;
+        let mut out = vec![BASE_ROW; base.num_nodes()];
+        for (slot, &(u, _)) in self.out.iter().enumerate() {
+            out[u as usize] = slot as u32;
+        }
+        let mut inn: Vec<(u32, u32)> = base
+            .nodes()
+            .map(|v| (BASE_ROW, base.in_degree(v) as u32))
+            .collect();
+        for (slot, &(v, ref list)) in self.inn.iter().enumerate() {
+            inn[v as usize] = (slot as u32, list.len() as u32);
+        }
+        ReadIndex {
+            out: out.into_boxed_slice(),
+            inn: inn.into_boxed_slice(),
+        }
+    }
 }
 
 /// An immutable, versioned view of a [`GraphStore`] at one publish
@@ -512,13 +562,24 @@ impl GraphView for GraphSnapshot {
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         let state = &*self.inner;
-        resolve(&state.inn, v, state.base.in_neighbors(v))
+        match state.index().inn[v as usize].0 {
+            BASE_ROW => state.base.in_neighbors(v),
+            slot => &state.inn[slot as usize].1,
+        }
     }
 
     #[inline]
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         let state = &*self.inner;
-        resolve(&state.out, v, state.base.out_neighbors(v))
+        match state.index().out[v as usize] {
+            BASE_ROW => state.base.out_neighbors(v),
+            slot => &state.out[slot as usize].1,
+        }
+    }
+
+    #[inline]
+    fn in_degree(&self, v: NodeId) -> usize {
+        self.inner.index().inn[v as usize].1 as usize
     }
 }
 

@@ -66,6 +66,59 @@ proptest! {
         prop_assert_eq!(g.snapshot().to_csr(), CsrGraph::from_edges(n, &edge_vec));
     }
 
+    /// Every published snapshot reads exactly its publish-time graph,
+    /// whether it is first read at once or only after later writes and
+    /// folds: neighbors and degrees equal the snapshot's own `to_csr()`
+    /// and a CSR of the reference model at publish time. The degree
+    /// index is built on first read, so the delayed half pins it to the
+    /// publish-time state, not the writer's current one.
+    #[test]
+    fn snapshot_reads_match_publish_time_csr(ops in arb_ops(12, 120)) {
+        let n = 12usize;
+        let mut g = GraphStore::new(n).with_policy(CompactionPolicy {
+            max_touched_fraction: 0.1,
+            min_touched_lists: 3,
+        });
+        let mut reference: std::collections::BTreeSet<(NodeId, NodeId)> = Default::default();
+        let mut delayed = Vec::new();
+        let check = |snap: &probesim_graph::GraphSnapshot, expect: &CsrGraph| {
+            // Degrees first, so a not-yet-read snapshot builds its index
+            // through the degree path.
+            for v in snap.nodes() {
+                prop_assert_eq!(snap.in_degree(v), expect.in_degree(v), "in_degree({})", v);
+                prop_assert_eq!(snap.out_degree(v), expect.out_degree(v), "out_degree({})", v);
+                prop_assert_eq!(snap.in_neighbors(v), expect.in_neighbors(v), "in({})", v);
+                prop_assert_eq!(snap.out_neighbors(v), expect.out_neighbors(v), "out({})", v);
+            }
+            prop_assert_eq!(&snap.to_csr(), expect);
+            Ok(())
+        };
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Insert(u, v) if u != v => {
+                    g.insert_edge(u, v);
+                    reference.insert((u, v));
+                }
+                Op::Remove(u, v) => {
+                    g.remove_edge(u, v);
+                    reference.remove(&(u, v));
+                }
+                _ => {}
+            }
+            let snap = g.snapshot();
+            let expect = CsrGraph::from_edge_iter(n, reference.iter().copied());
+            if i % 2 == 0 {
+                check(&snap, &expect)?;
+            } else {
+                delayed.push((snap, expect));
+            }
+        }
+        g.compact();
+        for (snap, expect) in &delayed {
+            check(snap, expect)?;
+        }
+    }
+
     /// Builder normalization is idempotent: rebuilding a cleaned graph
     /// from its own edges changes nothing.
     #[test]

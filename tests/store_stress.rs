@@ -204,3 +204,112 @@ fn early_snapshot_outlives_the_store() {
         .unwrap();
     assert_eq!(scores, reference.scores);
 }
+
+/// Several threads race the first read of each fresh snapshot, so the
+/// lazily built read index is built under contention. Every thread must
+/// see the adjacency and degrees of the snapshot's own `to_csr()`, which
+/// also equals a scratch CSR of the oracle's edge set.
+#[test]
+fn racing_first_reads_see_the_published_graph() {
+    const N: usize = 48;
+    const WINDOW: usize = 120;
+    const ROUNDS: usize = 40;
+    const READERS: usize = 4;
+
+    let mut stream = SlidingWindowStream::new(N, WINDOW, 0xF1257);
+    let warm: Vec<(NodeId, NodeId)> = stream.by_ref().take(WINDOW).map(|e| e.edge()).collect();
+    let mut store = GraphStore::from_edges(N, &warm).with_policy(CompactionPolicy {
+        max_touched_fraction: 0.2,
+        min_touched_lists: 8,
+    });
+    let mut oracle: BTreeSet<(NodeId, NodeId)> = warm.into_iter().collect();
+
+    /// One thread's view of a snapshot: per node, its in-degree,
+    /// out-degree, in-list and out-list.
+    type View = Vec<(usize, usize, Vec<NodeId>, Vec<NodeId>)>;
+    let read_all = |snapshot: &GraphSnapshot, first: usize| -> View {
+        // Start at a different node per thread so the first read that
+        // builds the index differs between threads.
+        (0..N)
+            .map(|i| ((first + i) % N) as NodeId)
+            .map(|v| {
+                (
+                    snapshot.in_degree(v),
+                    snapshot.out_degree(v),
+                    snapshot.in_neighbors(v).to_vec(),
+                    snapshot.out_neighbors(v).to_vec(),
+                )
+            })
+            .collect()
+    };
+
+    let mut overlay_rounds = 0;
+    for round in 0..ROUNDS {
+        for update in stream.by_ref().take(5) {
+            let changed = store.apply(update);
+            let expect = if update.is_insert() {
+                oracle.insert(update.edge())
+            } else {
+                oracle.remove(&update.edge())
+            };
+            assert_eq!(changed, expect, "store and oracle disagreed on {update:?}");
+        }
+        overlay_rounds += usize::from(store.touched_lists() > 0);
+        let snapshot = store.snapshot();
+        let barrier = std::sync::Barrier::new(READERS);
+        let views: Vec<View> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..READERS)
+                .map(|r| {
+                    let (snapshot, barrier) = (&snapshot, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        read_all(snapshot, r * N / READERS)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader panicked"))
+                .collect()
+        });
+        let csr = snapshot.to_csr();
+        assert_eq!(
+            csr,
+            CsrGraph::from_edge_iter(N, oracle.iter().copied()),
+            "round {round}: snapshot != oracle"
+        );
+        for (r, view) in views.iter().enumerate() {
+            let first = r * N / READERS;
+            for (i, (in_deg, out_deg, inn, out)) in view.iter().enumerate() {
+                let v = ((first + i) % N) as NodeId;
+                assert_eq!(
+                    *in_deg,
+                    csr.in_degree(v),
+                    "round {round}, reader {r}: in_degree({v})"
+                );
+                assert_eq!(
+                    *out_deg,
+                    csr.out_degree(v),
+                    "round {round}, reader {r}: out_degree({v})"
+                );
+                assert_eq!(
+                    inn,
+                    csr.in_neighbors(v),
+                    "round {round}, reader {r}: in({v})"
+                );
+                assert_eq!(
+                    out,
+                    csr.out_neighbors(v),
+                    "round {round}, reader {r}: out({v})"
+                );
+            }
+        }
+    }
+    // Most snapshots read through touched rows, and folds happened
+    // between rounds.
+    assert!(
+        overlay_rounds > ROUNDS / 2,
+        "only {overlay_rounds} overlay rounds"
+    );
+    assert!(store.compactions() > 0, "the policy must have compacted");
+}
