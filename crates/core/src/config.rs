@@ -20,8 +20,14 @@ pub enum ProbeStrategy {
     /// Algorithm 4: Bernoulli scores, O(n) expected per probe. Cannot be
     /// batched (each batched walk needs an independent probe).
     Randomized,
-    /// Section 4.4 "best of both worlds": deterministic until the frontier
-    /// out-degree sum exceeds `c0·w·n`, then randomized continuations.
+    /// Section 4.4 "best of both worlds", per engine:
+    /// * fused sweep (the default): each (level, parent group) expands
+    ///   randomized iff its draw budget `⌈nr·mass⌉` is below the mean
+    ///   in-degree `m/n`, otherwise deterministically
+    ///   ([`crate::frontier`]);
+    /// * legacy per-prefix path: the paper's switch — deterministic until
+    ///   the frontier out-degree sum exceeds `c0·w·n`
+    ///   ([`Optimizations::hybrid_c0`]), then randomized continuations.
     #[default]
     Hybrid,
 }
@@ -46,7 +52,10 @@ pub struct Optimizations {
     pub fuse_probes: bool,
     /// PROBE implementation.
     pub strategy: ProbeStrategy,
-    /// The constant `c0` in the hybrid switch condition `Σ|O(x)| > c0·w·n`.
+    /// The constant `c0` in the paper's hybrid switch condition
+    /// `Σ|O(x)| > c0·w·n`. Legacy-only: it drives the per-prefix paths
+    /// (`fuse_probes` off, or `batch_walks` off); the fused sweep's switch
+    /// compares observed values and has no constant.
     pub hybrid_c0: f64,
 }
 

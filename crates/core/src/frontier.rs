@@ -48,12 +48,20 @@
 //!   structure (tier 2 runs `w` independent probes per weight-`w`
 //!   prefix). Unbiasedness is covered by a mean-over-seeds test against
 //!   exact SimRank.
-//! * **Hybrid** — the switch condition is evaluated per (level, parent
-//!   group): a group whose frontier out-degree sum exceeds `c0·w·n`
-//!   (with `w` = walks represented by the group) expands that one level
-//!   randomized, others stay deterministic. Unlike tier 2's one-way
-//!   switch, a fused group can return to deterministic expansion at a
-//!   shallower level — both directions are unbiased.
+//! * **Hybrid** — the switch is evaluated per (level, parent group),
+//!   after the merge and the prune: a group whose draw budget `D` (the
+//!   one the randomized arm would spend, see `draw_budget`) is below the
+//!   graph's mean in-degree `m/n` expands that one level randomized,
+//!   others stay deterministic. A randomized expansion reads at most `D`
+//!   in-edges per candidate (exactly `|I(x)|` where the Rao–Blackwell
+//!   cap applies) and keeps only the accepted candidates; a
+//!   deterministic one reads about `m/n` in-edges per candidate and
+//!   stores every node it reaches. Both sides are observed values, so
+//!   the rule has no tuning constant (`hybrid_c0` only drives the legacy
+//!   per-prefix switch). The choice depends only on the pre-expansion
+//!   frontier, so the sweep stays unbiased level by level, and unlike
+//!   tier 2's one-way switch a fused group can return to deterministic
+//!   expansion at a shallower level.
 //!
 //! ## Pruning
 //!
@@ -76,7 +84,7 @@ use crate::config::ProbeStrategy;
 use crate::probe::{self, ProbeParams};
 use crate::result::QueryStats;
 use crate::trie::WalkTrie;
-use crate::workspace::ProbeWorkspace;
+use crate::workspace::{LevelBuf, ProbeWorkspace};
 
 /// The weight-proportional draw budget of a randomized group expansion:
 /// one independent in-edge trial per *alive walk equivalent* of the
@@ -90,8 +98,9 @@ use crate::workspace::ProbeWorkspace;
 /// pre-expansion frontier, so the per-candidate averaged estimator stays
 /// unbiased for any positive value.
 #[inline]
-fn draw_budget(group_walks: u64, frontier_mass: f64, nr: usize) -> u32 {
-    let alive = (frontier_mass * nr as f64).ceil() as u64;
+fn draw_budget(group_walks: u64, frontier: &LevelBuf, nr: usize) -> u32 {
+    let mass: f64 = frontier.nodes().iter().map(|&v| frontier.get(v)).sum();
+    let alive = (mass * nr as f64).ceil() as u64;
     alive.clamp(1, group_walks.clamp(1, u32::MAX as u64)) as u32
 }
 
@@ -117,7 +126,6 @@ pub fn run_fused<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
     nr: usize,
     params: &ProbeParams,
     strategy: ProbeStrategy,
-    c0: f64,
     ws: &mut ProbeWorkspace,
     acc: &mut A,
     stats: &mut QueryStats,
@@ -141,7 +149,6 @@ pub fn run_fused<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
         nr,
         params,
         strategy,
-        c0,
         ws,
         acc,
         stats,
@@ -168,7 +175,6 @@ fn fused_sweep<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
     nr: usize,
     params: &ProbeParams,
     strategy: ProbeStrategy,
-    c0: f64,
     ws: &mut ProbeWorkspace,
     acc: &mut A,
     stats: &mut QueryStats,
@@ -178,7 +184,7 @@ fn fused_sweep<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
     level_starts: &[usize],
 ) -> Result<(), BudgetExceeded> {
     let inv_nr = 1.0 / nr as f64;
-    let n = graph.num_nodes();
+    let mean_in_degree = graph.num_edges() as f64 / graph.num_nodes() as f64;
     let depth_count = level_starts.len() - 1;
     // Sweep deepest-first: consuming level `depth` produces the arrival
     // frontiers of level `depth - 1`, and the `depth == 1` sweep emits
@@ -242,21 +248,21 @@ fn fused_sweep<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
             let avoid = trie.vertex(parent);
             stats.probes += 1;
             next.clear();
-            match strategy {
-                ProbeStrategy::Deterministic => {
-                    probe::expand_level_deterministic(
-                        graph,
-                        params.sqrt_c,
-                        avoid,
-                        current,
-                        next,
-                        stats,
-                    );
+            let draws = match strategy {
+                ProbeStrategy::Deterministic => None,
+                ProbeStrategy::Randomized => Some(draw_budget(group_walks, current, nr)),
+                ProbeStrategy::Hybrid => {
+                    // Sample when the draws cost less than the `m/n`
+                    // in-edges per candidate a deterministic push reads.
+                    let draws = draw_budget(group_walks, current, nr);
+                    let switch = (draws as f64) < mean_in_degree;
+                    stats.hybrid_switches += switch as usize;
+                    switch.then_some(draws)
                 }
-                ProbeStrategy::Randomized => {
+            };
+            match draws {
+                Some(draws) => {
                     stats.randomized_probes += 1;
-                    let mass: f64 = current.nodes().iter().map(|&v| current.get(v)).sum();
-                    let draws = draw_budget(group_walks, mass, nr);
                     probe::expand_level_randomized(
                         graph,
                         params.sqrt_c,
@@ -268,34 +274,15 @@ fn fused_sweep<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
                         rng,
                     );
                 }
-                ProbeStrategy::Hybrid => {
-                    let out_sum = probe::frontier_out_degree_sum(graph, current);
-                    let threshold = (c0 * group_walks as f64 * n as f64).max(1.0);
-                    if out_sum as f64 > threshold {
-                        stats.hybrid_switches += 1;
-                        stats.randomized_probes += 1;
-                        let mass: f64 = current.nodes().iter().map(|&v| current.get(v)).sum();
-                        let draws = draw_budget(group_walks, mass, nr);
-                        probe::expand_level_randomized(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            draws,
-                            stats,
-                            rng,
-                        );
-                    } else {
-                        probe::expand_level_deterministic(
-                            graph,
-                            params.sqrt_c,
-                            avoid,
-                            current,
-                            next,
-                            stats,
-                        );
-                    }
+                None => {
+                    probe::expand_level_deterministic(
+                        graph,
+                        params.sqrt_c,
+                        avoid,
+                        current,
+                        next,
+                        stats,
+                    );
                 }
             }
             if depth == 1 {
@@ -338,7 +325,6 @@ mod tests {
             nr,
             &params,
             ProbeStrategy::Deterministic,
-            0.5,
             &mut ws,
             &mut acc,
             &mut stats,
@@ -419,7 +405,6 @@ mod tests {
             100,
             &params,
             ProbeStrategy::Deterministic,
-            0.5,
             &mut ws,
             &mut acc,
             &mut stats,
@@ -434,6 +419,48 @@ mod tests {
         );
         assert!(stats.edges_expanded > 0);
         assert_eq!(stats.frontier_merges, 2, "b and c each merged once");
+    }
+
+    #[test]
+    fn hybrid_switches_exactly_when_the_draw_budget_is_below_mean_in_degree() {
+        // Complete digraph on three nodes: m/n = 6/3 = 2. A trie of `k`
+        // copies of the walk (0, 1) is one depth-1 group of `k` walks with
+        // mass k/nr, so its draw budget is exactly `k`.
+        let g = probesim_graph::CsrGraph::from_edges(
+            3,
+            &[(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)],
+        );
+        let params = ProbeParams {
+            sqrt_c: 0.5,
+            epsilon_p: 0.0,
+        };
+        for (k, randomized) in [(1, true), (2, false), (3, false)] {
+            let mut trie = WalkTrie::new(0);
+            for _ in 0..k {
+                trie.insert(&[0, 1]);
+            }
+            let mut ws = ProbeWorkspace::new(3);
+            let mut acc = vec![0.0; 3];
+            let mut stats = QueryStats::default();
+            let mut rng = StdRng::seed_from_u64(1);
+            run_fused(
+                &g,
+                &trie,
+                k,
+                &params,
+                ProbeStrategy::Hybrid,
+                &mut ws,
+                &mut acc,
+                &mut stats,
+                &mut rng,
+            )
+            .unwrap();
+            assert_eq!(stats.probes, 1);
+            let expected = randomized as usize;
+            assert_eq!(stats.hybrid_switches, expected, "k = {k}");
+            assert_eq!(stats.randomized_probes, expected, "k = {k}");
+            assert_eq!(stats.nodes_sampled > 0, randomized, "k = {k}");
+        }
     }
 
     #[test]

@@ -126,11 +126,11 @@ pub(crate) fn expand_level_deterministic<G: GraphView>(
     }
 }
 
-/// Out-degree sum of a frontier — the quantity the hybrid switch
-/// condition compares against `c0·w·n` (shared by the per-prefix hybrid
-/// and the fused engine).
+/// Out-degree sum of a frontier — the quantity the per-prefix hybrid
+/// switch condition compares against `c0·w·n`, and the randomized
+/// expansion's choice between walking out-edges and scanning all nodes.
 #[inline]
-pub(crate) fn frontier_out_degree_sum<G: GraphView>(graph: &G, frontier: &LevelBuf) -> usize {
+fn frontier_out_degree_sum<G: GraphView>(graph: &G, frontier: &LevelBuf) -> usize {
     frontier.nodes().iter().map(|&x| graph.out_degree(x)).sum()
 }
 

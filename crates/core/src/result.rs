@@ -16,7 +16,8 @@ pub struct QueryStats {
     pub probes: usize,
     /// Randomized PROBE runs (including hybrid continuations).
     pub randomized_probes: usize,
-    /// Deterministic→randomized switches taken by hybrid probes.
+    /// Hybrid switches to randomized: one per legacy probe that switched,
+    /// one per fused group expansion the draw-budget rule sent randomized.
     pub hybrid_switches: usize,
     /// Out-edges traversed by deterministic expansions.
     pub edges_expanded: usize,

@@ -242,7 +242,6 @@ impl ProbeSim {
     ) -> Result<(), BudgetExceeded> {
         let sqrt_c = self.config.sqrt_decay();
         let strategy = self.config.optimizations.strategy;
-        let c0 = self.config.optimizations.hybrid_c0;
         let mut trie = WalkTrie::new(u);
         let mut walk_buf: Vec<NodeId> = Vec::with_capacity(8);
         for _ in 0..nr {
@@ -259,9 +258,10 @@ impl ProbeSim {
         }
         if self.config.optimizations.fuse_probes {
             return crate::frontier::run_fused(
-                graph, &trie, nr, params, strategy, c0, ws, acc, stats, rng,
+                graph, &trie, nr, params, strategy, ws, acc, stats, rng,
             );
         }
+        let c0 = self.config.optimizations.hybrid_c0;
         let inv_nr = 1.0 / nr as f64;
         trie.try_for_each_prefix(|path, w| {
             stats.trie_prefixes += 1;

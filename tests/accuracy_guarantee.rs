@@ -3,6 +3,7 @@
 //! paper's small datasets.
 
 use probesim::prelude::*;
+use probesim_datasets::sliding_window_workload;
 use probesim_eval::{metrics, sample_query_nodes};
 
 const DECAY: f64 = 0.6;
@@ -48,6 +49,30 @@ fn single_source_error_bound_as() {
 #[test]
 fn single_source_error_bound_hepph() {
     check_dataset(Dataset::HepPh, 0.1, 5);
+}
+
+/// The graph the `churn_ryw` serving workload reads: the warm window of a
+/// 1000-node, 6000-edge sliding-window stream. Its mean in-degree (6)
+/// makes the fused hybrid mix deterministic and randomized groups, and
+/// every answer must stay within εa (measured: 0.001–0.006).
+#[test]
+fn single_source_error_bound_sliding_window_stream() {
+    let (overlay, _) = sliding_window_workload(1000, 6000, 0, 0x5EED);
+    let graph = overlay.snapshot();
+    let truth = GroundTruth::compute(&graph, DECAY);
+    let query_nodes = sample_query_nodes(&graph, 8, 7);
+    assert_eq!(query_nodes.len(), 8);
+    for epsilon in [0.05, 0.1, 0.2] {
+        let engine = ProbeSim::new(ProbeSimConfig::paper(epsilon).with_seed(2017));
+        let mut switches = 0;
+        for &u in &query_nodes {
+            let result = engine.single_source(&graph, u);
+            switches += result.stats.hybrid_switches;
+            let err = metrics::abs_error(truth.single_source(u), &result.scores, u);
+            assert!(err <= epsilon, "εa = {epsilon}, query {u}: abs error {err}");
+        }
+        assert!(switches > 0, "εa = {epsilon}: no group expanded randomized");
+    }
 }
 
 /// Tightening εa must not worsen accuracy (Figure 4's tradeoff axis).
