@@ -1,204 +1,102 @@
 //! Checksummed, versioned store checkpoints.
 //!
-//! A [`Checkpoint`] is the full edge set of a replica's store at one
-//! LSN — the recovery shortcut that makes restarts O(suffix) instead of
-//! O(history): a replica restored from a checkpoint at LSN *v* resumes
-//! tailing the update log at *v + 1* and never replays the prefix
-//! (ROADMAP item 1's "catch-up from a log file snapshot").
+//! ProbeSim keeps no index, so a store's state is its graph: a
+//! [`Checkpoint`] holds the [`GraphSnapshot`] published at one LSN
+//! (capturing one is an `Arc` clone). A replica restored from a
+//! checkpoint at LSN *v* resumes tailing the update log at *v + 1*, so
+//! restarts cost O(suffix) instead of O(history).
 //!
-//! The binary codec follows the same discipline as the log codec in
-//! [`crate::log`]: magic + format version header, little-endian fields,
-//! and a trailing [`FxHasher`] checksum over every preceding byte, so
-//! bad magic, format drift, truncations, trailing garbage and flipped
-//! bits are all detected and reported as [`GraphError::Corrupt`]. File
-//! writes go through the shared temp-sibling + atomic-rename path, so a
-//! crash mid-checkpoint can never leave a half-written file.
+//! On disk a checkpoint is the `PSCK` header, then one checksummed frame
+//! around the LSN and the bytes [`io::write_binary`] writes. Decoding
+//! verifies the frame before [`io::read_binary`] bounds the node count,
+//! the edge count and every endpoint, so bad magic, another format
+//! version, truncations, trailing garbage and flipped bits are all
+//! [`GraphError::Corrupt`]. Files are written through the log's synced
+//! temp-sibling + atomic-rename path.
 
 use std::path::Path;
 
-use probesim_graph::{
-    CsrGraph, FxHasher, GraphError, GraphSnapshot, GraphStore, GraphView, NodeId,
-};
+use probesim_graph::{io, GraphError, GraphSnapshot, GraphStore, GraphView};
 
-use std::hash::Hasher;
-
-use crate::log::{take, take_u32, take_u64, write_atomic};
+use crate::log::write_atomic;
 
 /// Magic bytes opening every serialized checkpoint: "PSCK" (ProbeSim
 /// ChecKpoint).
 const MAGIC: &[u8; 4] = b"PSCK";
-/// Bump on any incompatible layout change.
-const VERSION: u32 = 1;
-/// Fixed header size: magic (4) + version (4) + lsn (8) + nodes (8) +
-/// edges (8).
-const HEADER_BYTES: usize = 32;
+/// Bump on any incompatible layout change. Version 1 stored raw edge
+/// pairs under a checksum that did not cover their length.
+const VERSION: u32 = 2;
+/// The frame's length and checksum fields around its payload.
+const FRAME_OVERHEAD: usize = 16;
 
-/// A store state frozen at one LSN: the node count and the complete
-/// sorted edge set. `lsn` equals the store version the edge set
-/// represents (LSN ≡ store version, the fleet-wide invariant).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A store state frozen at one LSN. The LSN is the snapshot's version
+/// (LSN ≡ store version, the fleet-wide invariant).
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
-    lsn: u64,
-    num_nodes: usize,
-    edges: Vec<(NodeId, NodeId)>,
+    snapshot: GraphSnapshot,
 }
 
 impl Checkpoint {
-    /// A checkpoint from raw parts. The edges are taken as-is (like
-    /// [`CsrGraph::from_edges`]); snapshots produce them sorted.
-    pub fn new(lsn: u64, num_nodes: usize, edges: Vec<(NodeId, NodeId)>) -> Checkpoint {
-        Checkpoint {
-            lsn,
-            num_nodes,
-            edges,
-        }
-    }
-
     /// Freezes a published snapshot: the checkpoint's LSN is the
     /// snapshot's version.
     pub fn from_snapshot(snapshot: &GraphSnapshot) -> Checkpoint {
         Checkpoint {
-            lsn: snapshot.version(),
-            num_nodes: snapshot.num_nodes(),
-            edges: snapshot.edges_iter().collect(),
+            snapshot: snapshot.clone(),
         }
     }
 
     /// The LSN (≡ store version) this checkpoint represents.
     pub fn lsn(&self) -> u64 {
-        self.lsn
+        self.snapshot.version()
     }
 
     /// Node count of the checkpointed graph.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// The checkpointed edge set.
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
+        self.snapshot.num_nodes()
     }
 
     /// Rebuilds a store at this checkpoint's state **and version**:
     /// the next effective mutation produces version `lsn + 1`, so the
     /// store slots straight back into the log's LSN lockstep.
     pub fn to_store(&self) -> GraphStore {
-        GraphStore::from_csr_at(CsrGraph::from_edges(self.num_nodes, &self.edges), self.lsn)
+        GraphStore::from_csr_at(self.snapshot.to_csr(), self.lsn())
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-/// Serializes a checkpoint: `MAGIC | version | lsn | nodes | edges`,
-/// the edge pairs, then an [`FxHasher`] checksum over every preceding
-/// byte.
+/// Serializes a checkpoint: the `PSCK` header, then one frame around
+/// the LSN and the `PSIM` graph bytes.
 pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_BYTES + checkpoint.edges.len() * 8 + 8);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION);
-    put_u64(&mut buf, checkpoint.lsn);
-    put_u64(&mut buf, checkpoint.num_nodes as u64);
-    put_u64(&mut buf, checkpoint.edges.len() as u64);
-    for &(u, v) in &checkpoint.edges {
-        put_u32(&mut buf, u);
-        put_u32(&mut buf, v);
-    }
-    let mut hasher = FxHasher::default();
-    hasher.write(&buf);
-    put_u64(&mut buf, hasher.finish());
+    let mut payload = Vec::new();
+    io::put_u64(&mut payload, checkpoint.lsn());
+    io::write_binary(&mut payload, &checkpoint.snapshot)
+        .expect("invariant: writing to a Vec cannot fail");
+    let mut buf = Vec::with_capacity(8 + FRAME_OVERHEAD + payload.len());
+    io::put_header(&mut buf, MAGIC, VERSION);
+    io::put_frame(&mut buf, &payload);
     buf
 }
 
-/// Decodes a serialized checkpoint, validating magic, format version,
-/// framing, node bounds and the whole-payload checksum. Any violation —
-/// a truncated file, trailing garbage, a single flipped bit — is
-/// [`GraphError::Corrupt`].
+/// Decodes a serialized checkpoint: header, then the frame's length and
+/// checksum, then the graph through [`io::read_binary`]. Any violation —
+/// a truncated file, trailing garbage, a single flipped bit — is a
+/// typed error, [`GraphError::Corrupt`] for all damage to the bytes.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, GraphError> {
-    let truncated = || GraphError::Corrupt("truncated checkpoint header".into());
-    if bytes.len() < HEADER_BYTES + 8 {
-        return Err(truncated());
-    }
     let mut cursor = bytes;
-    let magic = take(&mut cursor, 4).ok_or_else(truncated)?;
-    if magic != MAGIC {
-        return Err(GraphError::Corrupt(format!(
-            "bad magic {magic:?}, expected {MAGIC:?}"
-        )));
-    }
-    let version = take_u32(&mut cursor).ok_or_else(truncated)?;
-    if version != VERSION {
-        return Err(GraphError::Corrupt(format!(
-            "unsupported checkpoint format version {version}, expected {VERSION}"
-        )));
-    }
-    let lsn = take_u64(&mut cursor).ok_or_else(truncated)?;
-    let num_nodes = take_u64(&mut cursor).ok_or_else(truncated)?;
-    let num_edges = take_u64(&mut cursor).ok_or_else(truncated)?;
-    let edge_bytes = usize::try_from(num_edges)
-        .ok()
-        .and_then(|m| m.checked_mul(8))
-        .ok_or_else(|| GraphError::Corrupt(format!("implausible edge count {num_edges}")))?;
-    let expected = HEADER_BYTES
-        .checked_add(edge_bytes)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| GraphError::Corrupt(format!("implausible edge count {num_edges}")))?;
-    if bytes.len() != expected {
-        return Err(GraphError::Corrupt(format!(
-            "checkpoint length {} does not match {num_edges} edges",
-            bytes.len()
-        )));
-    }
-    // Verify the whole-payload checksum before trusting any edge.
-    // `cursor` sits at the edge block; the stored checksum is the 8
-    // bytes past it.
-    let mut checksum_cursor = cursor;
-    let payload = take(&mut checksum_cursor, edge_bytes)
-        .map(|_| bytes.len() - 8)
-        .ok_or_else(truncated)?;
-    let stored = take_u64(&mut checksum_cursor).ok_or_else(truncated)?;
-    let mut hasher = FxHasher::default();
-    hasher.write(&bytes[..payload]);
-    if hasher.finish() != stored {
-        return Err(GraphError::Corrupt("checkpoint checksum mismatch".into()));
-    }
-    // Node ids are `NodeId`s, so the count must fit one — the bound
-    // `io::read_binary` enforces too. A larger count would decode here
-    // and then blow up when `to_store` sizes the CSR.
-    let num_nodes = usize::try_from(num_nodes)
-        .ok()
-        .filter(|&n| n <= NodeId::MAX as usize)
-        .ok_or_else(|| {
-            GraphError::Corrupt(format!(
-                "node count {num_nodes} exceeds the {}-bit id space",
-                NodeId::BITS
-            ))
-        })?;
-    let mut edges = Vec::with_capacity(edge_bytes / 8);
-    for _ in 0..edge_bytes / 8 {
-        let u = take_u32(&mut cursor).ok_or_else(truncated)?;
-        let v = take_u32(&mut cursor).ok_or_else(truncated)?;
-        if (u as usize) >= num_nodes || (v as usize) >= num_nodes {
-            return Err(GraphError::Corrupt(format!(
-                "edge ({u}, {v}) out of range for {num_nodes} nodes"
-            )));
-        }
-        edges.push((u, v));
-    }
+    io::take_header(&mut cursor, MAGIC, VERSION)?;
+    // The frame fills the rest of the file.
+    let frame_bytes = cursor.len().saturating_sub(FRAME_OVERHEAD);
+    let mut payload = io::take_frame(&mut cursor, frame_bytes)
+        .map_err(|err| GraphError::Corrupt(format!("checkpoint {err}")))?;
+    let lsn = io::take_u64(&mut payload)
+        .ok_or_else(|| GraphError::Corrupt("checkpoint frame holds no LSN".into()))?;
+    let graph = io::read_binary(payload)?;
     Ok(Checkpoint {
-        lsn,
-        num_nodes,
-        edges,
+        snapshot: GraphStore::from_csr_at(graph, lsn).snapshot(),
     })
 }
 
-/// Writes a serialized checkpoint to a file (temp sibling + atomic
-/// rename, like [`crate::write_log_file`]).
+/// Writes a serialized checkpoint to a file (temp sibling + fsync +
+/// atomic rename, like [`crate::write_log_file`]).
 pub fn write_checkpoint_file<P: AsRef<Path>>(
     path: P,
     checkpoint: &Checkpoint,
@@ -214,24 +112,39 @@ pub fn read_checkpoint_file<P: AsRef<Path>>(path: P) -> Result<Checkpoint, Graph
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probesim_graph::GraphUpdate;
+    use probesim_graph::{CsrGraph, GraphUpdate, NodeId};
 
     fn sample_checkpoint() -> Checkpoint {
-        Checkpoint::new(42, 5, vec![(0, 1), (1, 2), (2, 3), (3, 0), (4, 2)])
+        let graph = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 2)]);
+        Checkpoint::from_snapshot(&GraphStore::from_csr_at(graph, 42).snapshot())
+    }
+
+    /// Recomputes the checksum of a checkpoint whose payload was edited.
+    /// The payload's graph bytes start at offset 24, its node count at 32.
+    fn reseal(bytes: &[u8]) -> Vec<u8> {
+        let mut sealed = bytes[..8].to_vec();
+        io::put_frame(&mut sealed, &bytes[16..bytes.len() - 8]);
+        sealed
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let checkpoint = sample_checkpoint();
-        assert_eq!(
-            decode_checkpoint(&encode_checkpoint(&checkpoint)).unwrap(),
-            checkpoint
-        );
-        let empty = Checkpoint::new(0, 3, Vec::new());
-        assert_eq!(
-            decode_checkpoint(&encode_checkpoint(&empty)).unwrap(),
-            empty
-        );
+        let empty = Checkpoint::from_snapshot(&GraphStore::new(3).snapshot());
+        for checkpoint in [sample_checkpoint(), empty] {
+            let bytes = encode_checkpoint(&checkpoint);
+            let decoded = decode_checkpoint(&bytes).unwrap();
+            assert_eq!(decoded.lsn(), checkpoint.lsn());
+            assert_eq!(encode_checkpoint(&decoded), bytes);
+        }
+    }
+
+    #[test]
+    fn version_1_files_are_rejected_by_version() {
+        let mut bytes = encode_checkpoint(&sample_checkpoint());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = decode_checkpoint(&bytes).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("PSCK format version 1"), "{err}");
     }
 
     #[test]
@@ -275,20 +188,20 @@ mod tests {
 
     #[test]
     fn out_of_range_edges_are_detected() {
-        // A hand-built checkpoint with a node id past the node count
-        // and a recomputed (valid) checksum: the bounds check, not the
-        // checksum, must reject it.
-        let bogus = Checkpoint::new(1, 2, vec![(0, 5)]);
-        let err = decode_checkpoint(&encode_checkpoint(&bogus)).unwrap_err();
+        // A node id past the node count under a valid checksum:
+        // `read_binary`'s bounds check, not the checksum, must reject it.
+        let mut bytes = encode_checkpoint(&sample_checkpoint());
+        bytes[32] = 2; // 5 nodes -> 2, but the edge (1, 2) remains
+        let err = decode_checkpoint(&reseal(&bytes)).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]
     fn node_count_past_the_id_space_is_detected() {
-        // Checksum-valid and edge-free: only the node-count bound can
-        // reject it.
-        let huge = Checkpoint::new(0, NodeId::MAX as usize + 2, vec![]);
-        let err = decode_checkpoint(&encode_checkpoint(&huge)).unwrap_err();
+        // Checksum-valid: only the node-count bound can reject it.
+        let mut bytes = encode_checkpoint(&sample_checkpoint());
+        bytes[32..40].copy_from_slice(&(NodeId::MAX as u64 + 2).to_le_bytes());
+        let err = decode_checkpoint(&reseal(&bytes)).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
     }
 
@@ -322,13 +235,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.psck");
         let checkpoint = sample_checkpoint();
+        let bytes = encode_checkpoint(&checkpoint);
         write_checkpoint_file(&path, &checkpoint).unwrap();
-        assert_eq!(read_checkpoint_file(&path).unwrap(), checkpoint);
+        assert_eq!(
+            encode_checkpoint(&read_checkpoint_file(&path).unwrap()),
+            bytes
+        );
         // A crashed writer's half-written temp sibling never shadows
         // the real file, and the next write consumes it.
         let tmp = crate::log::tmp_sibling(&path);
         std::fs::write(&tmp, b"torn").unwrap();
-        assert_eq!(read_checkpoint_file(&path).unwrap(), checkpoint);
+        assert_eq!(
+            encode_checkpoint(&read_checkpoint_file(&path).unwrap()),
+            bytes
+        );
         write_checkpoint_file(&path, &checkpoint).unwrap();
         assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).ok();

@@ -13,28 +13,28 @@
 //!   mutex, with condvar-driven [`LogCursor`]s so tailing replicas block
 //!   on new records instead of spinning;
 //! * a **binary file codec** ([`encode_log`] / [`decode_log`] and the
-//!   `*_file` wrappers) in the spirit of `probesim-graph`'s CSR codec:
-//!   magic + format version + record count header, then length-prefixed,
-//!   per-record checksummed entries. Decoding detects bad magic, format
-//!   drift, truncated tails, flipped bits, and LSN gaps, reporting each
-//!   as [`GraphError::Corrupt`].
+//!   `*_file` wrappers) built on `probesim_graph::io`'s shared codec:
+//!   the `PSLG` header and a record count, then one checksummed frame
+//!   per record (`lsn | kind | u | v`). Decoding detects bad magic,
+//!   format drift, truncated tails, flipped bits, and LSN gaps,
+//!   reporting each as [`GraphError::Corrupt`].
 //!
 //! Strict decoding ([`decode_log`]) is all-or-nothing; **salvage**
-//! ([`salvage_log`] / [`UpdateLog::salvage`] /
-//! [`read_log_file_salvage`]) instead recovers the longest valid
-//! checksummed prefix of a damaged stream, reporting the typed
-//! [`SalvageReason`] the tail was cut — the startup path for a node
-//! whose disk rotted under it. File writes go through a temp sibling +
-//! atomic rename so a crash mid-write can never leave a half-written
-//! file at the real path.
+//! ([`salvage_log`] / [`read_log_file_salvage`]) instead recovers the
+//! longest valid checksummed prefix of a damaged stream, reporting the
+//! typed [`SalvageReason`] the tail was cut — the startup path for a
+//! node whose disk rotted under it. File writes go through a synced
+//! temp sibling, an atomic rename and a synced directory, so neither a
+//! crash nor a power loss mid-write leaves a half-written file.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use probesim_graph::{FxHasher, GraphError, GraphUpdate, NodeId};
-
-use std::hash::Hasher;
+use probesim_graph::io::{self, FrameError};
+use probesim_graph::{GraphError, GraphUpdate};
 
 /// One logged mutation: the log sequence number and the update itself.
 ///
@@ -52,11 +52,12 @@ pub struct LogRecord {
 
 /// Magic bytes opening every serialized log: "PSLG" (ProbeSim LoG).
 const MAGIC: &[u8; 4] = b"PSLG";
-/// Bump on any incompatible layout change.
-const VERSION: u32 = 1;
-/// Serialized payload size of one record: lsn (8) + kind (1) +
-/// u (4) + v (4) + checksum (8).
-const RECORD_BYTES: u32 = 25;
+/// Bump on any incompatible layout change. Version 1 framed records
+/// with a `u32` length and a checksum that did not cover it.
+const VERSION: u32 = 2;
+/// Framed payload size of one record: lsn (8) + kind (1) + u (4) +
+/// v (4).
+const RECORD_BYTES: usize = 17;
 
 struct LogInner {
     /// Lock order: `fleet::records` may be held while acquiring the
@@ -171,18 +172,6 @@ impl UpdateLog {
         let records = self.inner.records.lock().expect("log records poisoned");
         encode_log(&records)
     }
-
-    /// Deserializes a log previously produced by [`UpdateLog::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<UpdateLog, GraphError> {
-        Ok(UpdateLog::from_records(decode_log(bytes)?))
-    }
-
-    /// Like [`UpdateLog::decode`], but recovers the longest valid
-    /// prefix of a damaged stream instead of rejecting it outright
-    /// (see [`salvage_log`]).
-    pub fn salvage(bytes: &[u8]) -> Result<Salvage, GraphError> {
-        salvage_log(bytes)
-    }
 }
 
 /// A tailing read position into an [`UpdateLog`]. Each call returns the
@@ -224,71 +213,37 @@ impl LogCursor {
     }
 }
 
-fn record_checksum(record: &LogRecord) -> u64 {
-    let (u, v) = record.update.edge();
-    let mut hasher = FxHasher::default();
-    hasher.write_u64(record.lsn);
-    hasher.write_u8(u8::from(record.update.is_insert()));
-    hasher.write_u32(u);
-    hasher.write_u32(v);
-    hasher.finish()
-}
-
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-pub(crate) fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if bytes.len() < n {
-        return None;
-    }
-    let (head, rest) = bytes.split_at(n);
-    *bytes = rest;
-    Some(head)
-}
-
-fn take_u8(bytes: &mut &[u8]) -> Option<u8> {
-    take(bytes, 1).map(|b| b.first().copied().unwrap_or(0))
-}
-
-pub(crate) fn take_u32(bytes: &mut &[u8]) -> Option<u32> {
-    take(bytes, 4).map(|b| {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(b);
-        u32::from_le_bytes(raw)
-    })
-}
-
-pub(crate) fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-    take(bytes, 8).map(|b| {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        u64::from_le_bytes(raw)
-    })
-}
-
-/// Serializes a record slice: `MAGIC | version | count`, then for every
-/// record a `u32` length prefix followed by the payload and its
-/// [`FxHasher`] checksum.
+/// Serializes a record slice: `MAGIC | version | count`, then every
+/// record in its own checksummed frame (see [`io::put_frame`]).
 pub fn encode_log(records: &[LogRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + records.len() * (RECORD_BYTES as usize + 4));
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION);
-    put_u64(&mut buf, records.len() as u64);
+    let mut buf = Vec::with_capacity(16 + records.len() * (RECORD_BYTES + 16));
+    io::put_header(&mut buf, MAGIC, VERSION);
+    io::put_u64(&mut buf, records.len() as u64);
+    let mut payload = Vec::with_capacity(RECORD_BYTES);
     for record in records {
         let (u, v) = record.update.edge();
-        put_u32(&mut buf, RECORD_BYTES);
-        put_u64(&mut buf, record.lsn);
-        buf.push(u8::from(record.update.is_insert()));
-        put_u32(&mut buf, u);
-        put_u32(&mut buf, v);
-        put_u64(&mut buf, record_checksum(record));
+        payload.clear();
+        io::put_u64(&mut payload, record.lsn);
+        payload.push(u8::from(record.update.is_insert()));
+        io::put_u32(&mut payload, u);
+        io::put_u32(&mut payload, v);
+        io::put_frame(&mut buf, &payload);
     }
     buf
+}
+
+/// Parses a verified record payload; `None` for an unknown update kind.
+fn decode_record(mut payload: &[u8]) -> Option<LogRecord> {
+    let lsn = io::take_u64(&mut payload)?;
+    let [kind] = io::take_array(&mut payload)?;
+    let u = io::take_u32(&mut payload)?;
+    let v = io::take_u32(&mut payload)?;
+    let update = match kind {
+        0 => GraphUpdate::Remove { u, v },
+        1 => GraphUpdate::Insert { u, v },
+        _ => return None,
+    };
+    Some(LogRecord { lsn, update })
 }
 
 /// Decodes a serialized log, validating magic, format version, record
@@ -318,7 +273,8 @@ pub enum SalvageReason {
     ChecksumMismatch,
     /// A record decoded cleanly but carried a non-contiguous LSN.
     LsnGap,
-    /// A record carried an update kind the codec does not know.
+    /// A record passed its checksum but carried an update kind the
+    /// codec does not know.
     UnknownUpdateKind,
     /// Extra bytes followed the last record the header promised (the
     /// whole claimed prefix still decoded).
@@ -375,54 +331,28 @@ impl Salvage {
 /// the tail and is reported as the [`Salvage::cut`] reason.
 pub fn salvage_log(mut bytes: &[u8]) -> Result<Salvage, GraphError> {
     let bytes = &mut bytes;
-    let magic = take(bytes, 4).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
-    if magic != MAGIC {
-        return Err(GraphError::Corrupt(format!(
-            "bad magic {magic:?}, expected {MAGIC:?}"
-        )));
-    }
-    let version = take_u32(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
-    if version != VERSION {
-        return Err(GraphError::Corrupt(format!(
-            "unsupported log format version {version}, expected {VERSION}"
-        )));
-    }
-    let count = take_u64(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
+    io::take_header(bytes, MAGIC, VERSION)?;
+    let count =
+        io::take_u64(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
     let mut records = Vec::new();
     let mut cut = None;
     for expected_lsn in 1..=count {
-        let Some(len) = take_u32(bytes) else {
-            cut = Some(SalvageReason::TruncatedRecord);
-            break;
-        };
-        if len != RECORD_BYTES {
-            cut = Some(SalvageReason::BadRecordLength);
-            break;
-        }
-        let Some(mut payload) = take(bytes, len as usize) else {
-            cut = Some(SalvageReason::TruncatedRecord);
-            break;
-        };
-        let payload = &mut payload;
-        let lsn = take_u64(payload).unwrap_or(0);
-        let kind = take_u8(payload).unwrap_or(2);
-        let u: NodeId = take_u32(payload).unwrap_or(0);
-        let v: NodeId = take_u32(payload).unwrap_or(0);
-        let stored_checksum = take_u64(payload).unwrap_or(0);
-        let update = match kind {
-            0 => GraphUpdate::Remove { u, v },
-            1 => GraphUpdate::Insert { u, v },
-            _ => {
-                cut = Some(SalvageReason::UnknownUpdateKind);
+        let payload = match io::take_frame(bytes, RECORD_BYTES) {
+            Ok(payload) => payload,
+            Err(err) => {
+                cut = Some(match err {
+                    FrameError::Truncated => SalvageReason::TruncatedRecord,
+                    FrameError::Length => SalvageReason::BadRecordLength,
+                    FrameError::Checksum => SalvageReason::ChecksumMismatch,
+                });
                 break;
             }
         };
-        let record = LogRecord { lsn, update };
-        if record_checksum(&record) != stored_checksum {
-            cut = Some(SalvageReason::ChecksumMismatch);
+        let Some(record) = decode_record(payload) else {
+            cut = Some(SalvageReason::UnknownUpdateKind);
             break;
-        }
-        if lsn != expected_lsn {
+        };
+        if record.lsn != expected_lsn {
             cut = Some(SalvageReason::LsnGap);
             break;
         }
@@ -437,21 +367,31 @@ pub fn salvage_log(mut bytes: &[u8]) -> Result<Salvage, GraphError> {
 /// The temp sibling a durable write stages into before the atomic
 /// rename: `<name>.tmp` next to `path`.
 pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| std::ffi::OsString::from("file"));
+    let mut name = path.as_os_str().to_owned();
     name.push(".tmp");
-    path.with_file_name(name)
+    name.into()
 }
 
 /// Writes `bytes` to `path` through a temp sibling + atomic rename: a
 /// crash mid-write leaves at worst a stale `.tmp` next to an intact
-/// `path`, never a half-written file that fails decode on restart.
+/// `path`, never a half-written file that fails decode on restart. The
+/// temp file is synced before the rename, and (on Unix) the directory
+/// after it, so the same holds across a power loss.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), GraphError> {
     let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, bytes)?;
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -607,7 +547,7 @@ mod tests {
     /// Header bytes (magic + version + count) and the framed size of
     /// one record, used by the exhaustive salvage tests.
     const HEADER_BYTES: usize = 16;
-    const FRAME_BYTES: usize = RECORD_BYTES as usize + 4;
+    const FRAME_BYTES: usize = RECORD_BYTES + 16;
 
     #[test]
     fn salvage_of_an_intact_log_is_clean() {
@@ -715,9 +655,11 @@ mod tests {
         assert_eq!(salvage.cut, Some(SalvageReason::ChecksumMismatch));
         assert_eq!(salvage.last_lsn(), 2);
 
-        // Unknown kind byte (checked before the checksum).
-        let mut bad_kind = full.clone();
-        bad_kind[HEADER_BYTES + 4 + 8] = 9; // record 1's kind byte
+        // Unknown kind byte under a valid checksum.
+        let mut bad_kind = full[..HEADER_BYTES].to_vec();
+        let mut payload = full[HEADER_BYTES + 8..][..RECORD_BYTES].to_vec();
+        payload[8] = 9; // record 1's kind byte
+        io::put_frame(&mut bad_kind, &payload);
         let salvage = salvage_log(&bad_kind).unwrap();
         assert_eq!(salvage.cut, Some(SalvageReason::UnknownUpdateKind));
         assert_eq!(salvage.last_lsn(), 0);
@@ -735,16 +677,6 @@ mod tests {
         let salvage = salvage_log(&trailing).unwrap();
         assert_eq!(salvage.cut, Some(SalvageReason::TrailingBytes));
         assert_eq!(salvage.records, records);
-    }
-
-    #[test]
-    fn update_log_salvage_matches_the_free_function() {
-        let full = encode_log(&sample_records());
-        let torn = &full[..full.len() - 1];
-        assert_eq!(
-            UpdateLog::salvage(torn).unwrap(),
-            salvage_log(torn).unwrap()
-        );
     }
 
     #[test]

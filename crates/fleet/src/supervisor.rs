@@ -71,21 +71,12 @@ impl CheckpointCell {
         }
     }
 
-    /// A clone of the latest retained checkpoint.
+    /// A clone of the latest retained checkpoint (an `Arc` bump).
     pub(crate) fn latest(&self) -> Option<Checkpoint> {
         self.checkpoint
             .lock()
             .expect("checkpoint cell poisoned")
             .clone()
-    }
-
-    /// The latest retained checkpoint's LSN (no edge-set clone).
-    pub(crate) fn latest_lsn(&self) -> Option<u64> {
-        self.checkpoint
-            .lock()
-            .expect("checkpoint cell poisoned")
-            .as_ref()
-            .map(Checkpoint::lsn)
     }
 }
 
@@ -216,7 +207,7 @@ fn supervise_tick(
     // into the cell (the cell lock is a leaf; nothing else is held).
     if config.checkpoint_every > 0 {
         let version = primary.version();
-        let last = cell.latest_lsn().unwrap_or(0);
+        let last = cell.latest().map_or(0, |checkpoint| checkpoint.lsn());
         if version >= last + config.checkpoint_every {
             let checkpoint = Checkpoint::from_snapshot(&primary.snapshot());
             counters.note_checkpoint();

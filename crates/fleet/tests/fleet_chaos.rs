@@ -13,7 +13,9 @@
 use std::time::Duration;
 
 use probesim_core::{ProbeSimConfig, Query, QueryOutput};
-use probesim_fleet::{FaultPlan, Fleet, LogRecord, ReplicaHealth};
+use probesim_fleet::{
+    read_checkpoint_file, write_checkpoint_file, FaultPlan, Fleet, LogRecord, ReplicaHealth,
+};
 use probesim_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView, NodeId};
 use probesim_service::{Consistency, Request, ServiceBuilder};
 use proptest::prelude::*;
@@ -201,7 +203,7 @@ fn distinct_inserts() -> Vec<GraphUpdate> {
 #[test]
 fn recovery_from_a_checkpoint_replays_only_the_suffix() {
     let fleet = Fleet::builder(config(7))
-        .replicas(1)
+        .replicas(2)
         // No cadence: the only checkpoint is the manual one below, so
         // the replayed suffix length is exactly knowable.
         .checkpoint_every(0)
@@ -241,6 +243,27 @@ fn recovery_from_a_checkpoint_replays_only_the_suffix() {
     let recovered = replica.service().call(request).expect("replica answers");
     assert_eq!(
         ranking_bits(&primary.output),
+        ranking_bits(&recovered.output)
+    );
+
+    // The same checkpoint through the file codec recovers the second
+    // replica, which answers bit for bit like the in-memory recovery.
+    let path = std::env::temp_dir().join(format!("probesim-chaos-{}.psck", std::process::id()));
+    write_checkpoint_file(&path, &checkpoint).expect("checkpoint file written");
+    let from_file = read_checkpoint_file(&path).expect("checkpoint file decodes");
+    std::fs::remove_file(&path).ok();
+    let file_replica = &fleet.replicas()[1];
+    file_replica
+        .recover(&from_file, fleet.log())
+        .expect("same node count");
+    assert!(fleet.wait_for_replication(10, Duration::from_secs(30)));
+    assert_eq!(file_replica.applied_records(), 4);
+    let from_bytes = file_replica
+        .service()
+        .call(request)
+        .expect("replica answers");
+    assert_eq!(
+        ranking_bits(&from_bytes.output),
         ranking_bits(&recovered.output)
     );
 

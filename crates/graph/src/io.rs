@@ -1,19 +1,26 @@
-//! Graph readers and writers.
-//!
-//! Two formats:
+//! Graph readers and writers, and the binary codec every on-disk format
+//! shares.
 //!
 //! * **Text edge lists** — the SNAP-style format of the paper's datasets:
 //!   one `source target` pair per whitespace-separated line, `#` comments.
 //!   Node ids may be arbitrary `u64` values; they are densified to `0..n`.
-//! * **Binary** — a compact little-endian format (`PSIM` magic, node/edge
-//!   counts, then `u32` pairs), used to cache generated datasets between
-//!   benchmark runs.
+//! * **Binary** — a compact little-endian format (`PSIM` header, node/edge
+//!   counts, then `u32` pairs) that caches generated datasets and is the
+//!   payload of fleet checkpoints. [`read_binary`] is the one place that
+//!   checks a graph payload's node count, edge count and endpoints.
+//!
+//! The fleet's checkpoint and update-log formats reuse the `put_*` /
+//! `take_*` helpers, the magic-and-version header and the checksummed
+//! frame `len: u64 | payload | checksum: u64`. The checksum hashes the
+//! length too: FxHash alone misses leading all-zero words and a zero
+//! byte dropped from a partial last word.
 
 use std::fs::File;
+use std::hash::Hasher;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHasher};
 use crate::view::GraphView;
 use crate::{CsrGraph, Edge, GraphError, NodeId};
 
@@ -41,62 +48,112 @@ pub fn read_graph_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> 
     }
 }
 
-/// Little-endian append helpers (the `bytes::BufMut` subset this file
-/// needs, implemented on `Vec<u8>` so the format has no external deps).
-trait PutExt {
-    fn put_slice(&mut self, bytes: &[u8]);
-    fn put_u32_le(&mut self, value: u32);
-    fn put_u64_le(&mut self, value: u64);
+/// Appends `value` in little-endian byte order.
+pub fn put_u32(buf: &mut Vec<u8>, value: u32) {
+    buf.extend_from_slice(&value.to_le_bytes());
 }
 
-impl PutExt for Vec<u8> {
-    #[inline]
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
+/// Appends `value` in little-endian byte order.
+pub fn put_u64(buf: &mut Vec<u8>, value: u64) {
+    buf.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Splits the first `N` bytes off `bytes` as an array.
+pub fn take_array<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
+}
+
+/// Takes a little-endian `u32` off the front of `bytes`.
+pub fn take_u32(bytes: &mut &[u8]) -> Option<u32> {
+    take_array(bytes).map(u32::from_le_bytes)
+}
+
+/// Takes a little-endian `u64` off the front of `bytes`.
+pub fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
+    take_array(bytes).map(u64::from_le_bytes)
+}
+
+/// Appends a format header: the four magic bytes, then the format
+/// version.
+pub fn put_header(buf: &mut Vec<u8>, magic: &[u8; 4], version: u32) {
+    buf.extend_from_slice(magic);
+    put_u32(buf, version);
+}
+
+/// Takes a format header off the front of `bytes`. A short header, other
+/// magic bytes or another version is [`GraphError::Corrupt`], and the
+/// message names the version found.
+pub fn take_header(bytes: &mut &[u8], magic: &[u8; 4], version: u32) -> Result<(), GraphError> {
+    let truncated = || GraphError::Corrupt("truncated header".into());
+    let found = take_array::<4>(bytes).ok_or_else(truncated)?;
+    if &found != magic {
+        return Err(GraphError::Corrupt(format!(
+            "bad magic {found:?}, expected {magic:?}"
+        )));
     }
-    #[inline]
-    fn put_u32_le(&mut self, value: u32) {
-        self.extend_from_slice(&value.to_le_bytes());
+    let found = take_u32(bytes).ok_or_else(truncated)?;
+    if found != version {
+        return Err(GraphError::Corrupt(format!(
+            "unsupported {} format version {found}, expected {version}",
+            String::from_utf8_lossy(magic)
+        )));
     }
-    #[inline]
-    fn put_u64_le(&mut self, value: u64) {
-        self.extend_from_slice(&value.to_le_bytes());
+    Ok(())
+}
+
+/// Why [`take_frame`] rejected a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The bytes ended inside the frame.
+    Truncated,
+    /// The stored payload length is not the one the caller expects.
+    Length,
+    /// The payload or its stored length does not match the checksum.
+    Checksum,
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FrameError::Truncated => "frame truncated",
+            FrameError::Length => "frame length mismatch",
+            FrameError::Checksum => "frame checksum mismatch",
+        })
     }
 }
 
-/// Little-endian consuming reads over a byte slice (the `bytes::Buf`
-/// subset this file needs). Each `get_*` advances the slice; callers
-/// check [`TakeExt::remaining`] before reading.
-trait TakeExt {
-    fn remaining(&self) -> usize;
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
+fn frame_checksum(payload: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_u64(payload.len() as u64);
+    hasher.write(payload);
+    hasher.finish()
 }
 
-impl TakeExt for &[u8] {
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.len()
+/// Appends `payload` sealed in a checksummed frame:
+/// `len: u64 | payload | checksum: u64`.
+pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    put_u64(buf, payload.len() as u64);
+    buf.extend_from_slice(payload);
+    put_u64(buf, frame_checksum(payload));
+}
+
+/// Takes one frame of an `expected`-byte payload off the front of
+/// `bytes` and returns the payload once its checksum holds, so nothing
+/// in it is parsed unverified.
+pub fn take_frame<'a>(bytes: &mut &'a [u8], expected: usize) -> Result<&'a [u8], FrameError> {
+    if take_u64(bytes).ok_or(FrameError::Truncated)? != expected as u64 {
+        return Err(FrameError::Length);
     }
-    #[inline]
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
+    let (payload, rest) = bytes
+        .split_at_checked(expected)
+        .ok_or(FrameError::Truncated)?;
+    *bytes = rest;
+    if take_u64(bytes).ok_or(FrameError::Truncated)? != frame_checksum(payload) {
+        return Err(FrameError::Checksum);
     }
-    #[inline]
-    fn get_u32_le(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        self.copy_to_slice(&mut raw);
-        u32::from_le_bytes(raw)
-    }
-    #[inline]
-    fn get_u64_le(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        self.copy_to_slice(&mut raw);
-        u64::from_le_bytes(raw)
-    }
+    Ok(payload)
 }
 
 /// Reads a whitespace-separated edge list, densifying arbitrary `u64` node
@@ -138,12 +195,6 @@ pub fn read_edge_list_text<R: BufRead>(reader: R) -> Result<(CsrGraph, Vec<u64>)
     Ok((CsrGraph::from_edges(labels.len(), &edges), labels))
 }
 
-/// Reads a text edge list from a file path. See [`read_edge_list_text`].
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<(CsrGraph, Vec<u64>), GraphError> {
-    let file = File::open(path)?;
-    read_edge_list_text(BufReader::new(file))
-}
-
 /// Writes a graph as a text edge list (`u v` per line, dense ids).
 pub fn write_edge_list_text<W: Write, G: GraphView>(
     mut writer: W,
@@ -165,25 +216,20 @@ pub fn write_edge_list_text<W: Write, G: GraphView>(
 
 /// Serializes a graph into the binary format.
 pub fn write_binary<W: Write, G: GraphView>(mut writer: W, graph: &G) -> Result<(), GraphError> {
-    let mut header = Vec::with_capacity(4 + 4 + 8 + 8);
-    header.put_slice(MAGIC);
-    header.put_u32_le(VERSION);
-    header.put_u64_le(graph.num_nodes() as u64);
-    header.put_u64_le(graph.num_edges() as u64);
-    writer.write_all(&header)?;
     let mut buf = Vec::with_capacity(8 * 1024);
-    for u in graph.nodes() {
-        for &v in graph.out_neighbors(u) {
-            buf.put_u32_le(u);
-            buf.put_u32_le(v);
-            if buf.len() >= 8 * 1024 {
-                writer.write_all(&buf)?;
-                buf.clear();
-            }
+    put_header(&mut buf, MAGIC, VERSION);
+    put_u64(&mut buf, graph.num_nodes() as u64);
+    put_u64(&mut buf, graph.num_edges() as u64);
+    for (u, v) in graph.edges_iter() {
+        put_u32(&mut buf, u);
+        put_u32(&mut buf, v);
+        if buf.len() >= 8 * 1024 {
+            writer.write_all(&buf)?;
+            buf.clear();
         }
     }
     writer.write_all(&buf)?;
-    Ok(())
+    Ok(writer.flush()?)
 }
 
 /// Deserializes a graph from the binary format.
@@ -191,21 +237,10 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
     let mut cur = &raw[..];
-    if cur.remaining() < 24 {
-        return Err(GraphError::Corrupt("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    cur.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(GraphError::Corrupt(format!("bad magic {magic:?}")));
-    }
-    let version = cur.get_u32_le();
-    if version != VERSION {
-        return Err(GraphError::Corrupt(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let n = cur.get_u64_le();
+    take_header(&mut cur, MAGIC, VERSION)?;
+    let truncated = || GraphError::Corrupt("truncated header".into());
+    let n = take_u64(&mut cur).ok_or_else(truncated)?;
+    let m = take_u64(&mut cur).ok_or_else(truncated)?;
     // Node ids are `NodeId`s, so `n` must fit one: a larger count would
     // truncate in `n as NodeId` (or wrap `n + 1` when sizing offsets).
     if n > NodeId::MAX as u64 {
@@ -215,32 +250,24 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
         )));
     }
     let n = n as usize;
-    let m = cur.get_u64_le() as usize;
     // checked_mul: a corrupt header with a huge edge count must become a
     // Corrupt error, not an overflow panic (or a wrapped-to-0 size check
     // in release builds followed by a capacity-overflow abort).
-    let edge_bytes = m
-        .checked_mul(8)
+    let edge_bytes = usize::try_from(m)
+        .ok()
+        .and_then(|m| m.checked_mul(8))
         .ok_or_else(|| GraphError::Corrupt(format!("edge count {m} overflows the format")))?;
-    if cur.remaining() != edge_bytes {
+    if cur.len() != edge_bytes {
         return Err(GraphError::Corrupt(format!(
             "expected {edge_bytes} edge bytes, found {}",
-            cur.remaining()
+            cur.len()
         )));
     }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = cur.get_u32_le();
-        let v = cur.get_u32_le();
-        if u as usize >= n {
+    let mut edges = Vec::with_capacity(edge_bytes / 8);
+    while let (Some(u), Some(v)) = (take_u32(&mut cur), take_u32(&mut cur)) {
+        if let Some(node) = [u, v].into_iter().find(|&node| node as usize >= n) {
             return Err(GraphError::NodeOutOfRange {
-                node: u as u64,
-                num_nodes: n,
-            });
-        }
-        if v as usize >= n {
-            return Err(GraphError::NodeOutOfRange {
-                node: v as u64,
+                node: node as u64,
                 num_nodes: n,
             });
         }
@@ -256,12 +283,6 @@ pub fn write_binary_file<P: AsRef<Path>, G: GraphView>(
 ) -> Result<(), GraphError> {
     let file = File::create(path)?;
     write_binary(BufWriter::new(file), graph)
-}
-
-/// Reads the binary format from a file path.
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
-    let file = File::open(path)?;
-    read_binary(BufReader::new(file))
 }
 
 #[cfg(test)]
@@ -345,10 +366,9 @@ mod tests {
     /// A header with `n` nodes, `m` edges and no edge payload.
     fn header(n: u64, m: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(n);
-        buf.put_u64_le(m);
+        put_header(&mut buf, MAGIC, VERSION);
+        put_u64(&mut buf, n);
+        put_u64(&mut buf, m);
         buf
     }
 
@@ -380,7 +400,7 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let mut buf = Vec::new();
         write_binary(&mut buf, &g).unwrap();
-        buf.put_u64_le(0);
+        put_u64(&mut buf, 0);
         let err = read_binary(Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
     }
@@ -389,10 +409,28 @@ mod tests {
     fn binary_rejects_out_of_range_node() {
         // Hand-craft a file claiming n=1 but containing node id 7.
         let mut buf = header(1, 1);
-        buf.put_u32_le(0);
-        buf.put_u32_le(7);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 7);
         let err = read_binary(Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 7, .. }));
+    }
+
+    /// Leading zero words and a dropped trailing zero byte keep FxHash's
+    /// value; the hashed length makes the frame reject both.
+    #[test]
+    fn frame_checksum_covers_the_length() {
+        let payload = [1u8, 2, 3, 0];
+        let mut sealed = Vec::new();
+        put_frame(&mut sealed, &payload);
+        let checksum = &sealed[sealed.len() - 8..];
+        for forged in [payload[..3].to_vec(), [&[0u8; 16][..], &payload].concat()] {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, forged.len() as u64);
+            buf.extend_from_slice(&forged);
+            buf.extend_from_slice(checksum);
+            let result = take_frame(&mut &buf[..], forged.len());
+            assert_eq!(result, Err(FrameError::Checksum), "{forged:?}");
+        }
     }
 
     /// Writes `bytes` to a fresh temp file and reads it back through the
@@ -451,7 +489,7 @@ mod tests {
         let path = dir.join("g.bin");
         let g = CsrGraph::from_edges(3, &[(0, 1), (2, 1)]);
         write_binary_file(&path, &g).unwrap();
-        let g2 = read_binary_file(&path).unwrap();
+        let g2 = read_graph_file(&path).unwrap();
         assert_eq!(g, g2);
         std::fs::remove_file(&path).ok();
     }
