@@ -14,7 +14,6 @@ use probesim_datasets::Scale;
 
 use crate::report::{
     baseline_json, compare, contrast_json, contrast_pairs, parse_baseline, CompareThresholds,
-    ScenarioReport,
 };
 use crate::scenario::{catalog, find, run_scenario, scale_name, ScenarioSpec};
 
@@ -198,8 +197,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         "scenario", "queries", "q_median", "q_p95", "updates", "u_median", "total_work"
     );
     for spec in &specs {
-        let result = run_scenario(spec, options.scale, options.seed);
-        let report = ScenarioReport::from_result(&result);
+        let report = run_scenario(spec, options.scale, options.seed);
         println!(
             "{:<28} {:>8} {:>12} {:>12} {:>8} {:>12} {:>14}",
             report.scenario,

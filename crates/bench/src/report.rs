@@ -32,7 +32,8 @@
 //!
 //! ## Regression verdicts
 //!
-//! Three signals, compared per scenario by name:
+//! Scenarios are joined by name. Three measured signals gate against
+//! thresholds:
 //!
 //! * **median query latency** — gated with a *generous* threshold
 //!   (default 1.0 = fail beyond 2× the baseline), because wall-clock
@@ -46,23 +47,37 @@
 //!   tightly (default 0.10), because the counter is deterministic given
 //!   seed + scenario and only moves when the algorithm does more work.
 //!   Skipped when either side reports `work_deterministic: false` (the
-//!   concurrent store scenarios, whose per-query work depends on which
-//!   snapshot version a racing reader happens to see).
+//!   concurrent store, service and fleet scenarios, whose per-query work
+//!   depends on which version a racing client happens to see).
+//!
+//! Three identity checks fail the gate outright, with no threshold:
+//!
+//! * **workload fingerprint** — a `final_state_hash` that differs from
+//!   the baseline's, or vanished from the current run
+//!   ([`Verdict::FingerprintMismatch`]);
+//! * **disarmed work gate** — the current run stopped claiming
+//!   deterministic work against a baseline that gates on it
+//!   ([`Verdict::WorkGateDisarmed`]);
+//! * **cache hit rate** — below the baseline's, or vanished from the
+//!   current run, on the scenarios where it is seed-deterministic
+//!   ([`Verdict::CacheHitRate`]).
 
 use std::fmt;
 
 pub use probesim_json::Json;
 
-use crate::scenario::{Latencies, ScenarioResult};
+use probesim_core::QueryStats;
+use probesim_datasets::Scale;
+
+use crate::scenario::{scale_name, Latencies, ScenarioSpec};
 
 /// Version stamp written into every report; bump when the schema changes
 /// shape incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// One scenario run, serialized. Built by
-/// [`ScenarioReport::from_result`], written with
-/// [`ScenarioReport::to_json`], and re-read (for `--compare`) with
-/// [`ScenarioReport::from_json`].
+/// One scenario run. Returned by [`crate::scenario::run_scenario`],
+/// written with [`ScenarioReport::to_json`], and re-read (for
+/// `--compare`) with [`ScenarioReport::from_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name (the comparator's join key).
@@ -192,36 +207,44 @@ impl LatencySummary {
 }
 
 impl ScenarioReport {
-    /// Builds the serializable report for one scenario result.
-    pub fn from_result(result: &ScenarioResult) -> ScenarioReport {
+    /// A run's report with the shared fields filled in; `graph` is the
+    /// starting graph as `(dataset label, nodes, edges)`, and one query
+    /// counts per latency sample. The optional per-kind fields start as
+    /// `None`; each runner sets the ones it reports.
+    pub(crate) fn new(
+        spec: &ScenarioSpec,
+        scale: Scale,
+        seed: u64,
+        (dataset, nodes, edges): (String, usize, usize),
+        query_latency: &Latencies,
+        query_stats: &QueryStats,
+        update_latency: Option<&Latencies>,
+    ) -> ScenarioReport {
         ScenarioReport {
-            scenario: result.spec.name.to_string(),
-            description: result.spec.description.to_string(),
-            kind: result.spec.kind_name().to_string(),
-            seed: result.seed,
-            scale: result.scale_name.to_string(),
-            dataset: result.dataset.clone(),
-            nodes: result.nodes,
-            edges: result.edges,
-            final_state_hash: result.final_state_hash,
-            epsilon: result.epsilon,
-            queries: result.queries_executed,
-            updates: result.update_latency.as_ref().map_or(0, |lat| lat.count()),
-            query_latency: LatencySummary::from_latencies(&result.query_latency),
-            update_latency: result
-                .update_latency
-                .as_ref()
-                .map(LatencySummary::from_latencies),
-            query_stats: result.query_stats.fields().collect(),
-            total_work: result.query_stats.total_work(),
-            work_deterministic: result.work_deterministic,
-            versions_observed: result.versions_observed,
-            cache_hits: result.cache_hits,
-            cache_hit_rate: result.cache_hit_rate,
-            deadline_exceeded: result.deadline_exceeded,
-            recoveries: result.recoveries,
-            restarts: result.restarts,
-            failovers: result.failovers,
+            scenario: spec.name.to_string(),
+            description: spec.description.to_string(),
+            kind: spec.kind_name().to_string(),
+            seed,
+            scale: scale_name(scale).to_string(),
+            dataset,
+            nodes,
+            edges,
+            final_state_hash: None,
+            epsilon: spec.epsilon,
+            queries: query_latency.count(),
+            updates: update_latency.map_or(0, Latencies::count),
+            query_latency: LatencySummary::from_latencies(query_latency),
+            update_latency: update_latency.map(LatencySummary::from_latencies),
+            query_stats: query_stats.fields().collect(),
+            total_work: query_stats.total_work(),
+            work_deterministic: spec.work_deterministic(),
+            versions_observed: None,
+            cache_hits: None,
+            cache_hit_rate: None,
+            deadline_exceeded: None,
+            recoveries: None,
+            restarts: None,
+            failovers: None,
         }
     }
 
@@ -329,7 +352,7 @@ impl ScenarioReport {
         let stats_obj = value
             .get("query_stats")
             .ok_or("report missing query_stats object")?;
-        let query_stats: Vec<(&'static str, usize)> = probesim_core::QueryStats::FIELD_NAMES
+        let query_stats: Vec<(&'static str, usize)> = QueryStats::FIELD_NAMES
             .into_iter()
             .map(|name| {
                 let counter = stats_obj.get(name).and_then(Json::as_f64).unwrap_or(0.0);
@@ -521,8 +544,9 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// True for the gate-failing verdicts ([`Verdict::Regression`] and
-    /// [`Verdict::FingerprintMismatch`]).
+    /// True for the gate-failing verdicts: [`Verdict::Regression`],
+    /// [`Verdict::FingerprintMismatch`], [`Verdict::WorkGateDisarmed`]
+    /// and [`Verdict::CacheHitRate`].
     pub fn is_regression(&self) -> bool {
         matches!(
             self,

@@ -3,9 +3,9 @@
 //! A **scenario** is a named, seeded, self-describing workload: which
 //! graph, which query mix, which execution mode, and — for dynamic
 //! scenarios — how edge updates interleave with live queries. The engine
-//! runs a scenario and returns a [`ScenarioResult`] with per-query (and
-//! per-update) wall-clock latencies plus merged
-//! [`QueryStats`] counters; [`crate::report`] serializes that into the
+//! runs a scenario and returns its [`ScenarioReport`]: per-query (and
+//! per-update) wall-clock latency summaries plus merged [`QueryStats`]
+//! counters, which [`crate::report`] serializes into the
 //! `BENCH_<scenario>.json` files the CI perf gate consumes.
 //!
 //! The catalog ([`catalog`]) covers the full query surface of the session
@@ -16,8 +16,9 @@
 //! deletions on the overlay-backed [`probesim_graph::GraphStore`] at
 //! configurable update:query ratios, both interleaved on one thread
 //! ([`ScenarioKind::DynamicInterleaved`]) and genuinely concurrent — one
-//! writer thread vs. N snapshot-reader threads
-//! ([`ScenarioKind::StoreConcurrent`]) — (compare the evaluation
+//! writer thread vs. N client threads, against the store, the query
+//! service or the replicated fleet, all driven by one shared harness —
+//! (compare the evaluation
 //! protocols of SLING/SimPush-style index-free systems and "Dynamical
 //! SimRank Search on Time-Varying Networks").
 //!
@@ -26,15 +27,21 @@
 //! same machinery instead of hand-rolled mean aggregates.
 
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use probesim_core::{ProbeSim, ProbeSimConfig, Query, QueryStats};
+use probesim_core::{ProbeSim, ProbeSimConfig, Query, QueryError, QueryOutput, QueryStats};
 use probesim_datasets::{sliding_window_workload, Dataset, Scale};
 use probesim_eval::sample_query_nodes;
 use probesim_fleet::{FaultPlan, Fleet, FleetError};
 use probesim_graph::hash::FxHasher;
-use probesim_graph::{CompactionPolicy, Edge, GraphStore, GraphView, NodeId};
-use probesim_service::{Consistency, Priority, Request, ServiceBuilder, ServiceError};
+use probesim_graph::{
+    CompactionPolicy, Edge, GraphStore, GraphUpdate, GraphView, NodeId, OverlayGraph,
+};
+use probesim_service::{Consistency, Priority, Request, Response, ServiceBuilder, ServiceError};
+
+use crate::report::ScenarioReport;
 
 /// A wall-clock latency recording with order statistics.
 ///
@@ -383,74 +390,16 @@ impl ScenarioSpec {
     }
 }
 
-/// The measured outcome of one scenario run.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// The scenario that ran.
-    pub spec: ScenarioSpec,
-    /// Seed the run used.
-    pub seed: u64,
-    /// Scale name ("ci" / "laptop" / "paper").
-    pub scale_name: &'static str,
-    /// Dataset / generator label.
-    pub dataset: String,
-    /// Node count of the benchmarked graph.
-    pub nodes: usize,
-    /// Edge count at scenario start.
-    pub edges: usize,
-    /// εa the engine ran with.
-    pub epsilon: f64,
-    /// Queries actually executed. Equals `query_latency.count()` except
-    /// for batch scenarios, where one latency sample covers a whole
-    /// batch (5 reps × list size queries).
-    pub queries_executed: usize,
-    /// Per-query latencies (per-batch-÷-size for batch scenarios).
-    pub query_latency: Latencies,
-    /// Per-update latencies (dynamic scenarios only).
-    pub update_latency: Option<Latencies>,
-    /// Counters merged over every query of the run.
-    pub query_stats: QueryStats,
-    /// Order-sensitive hash of the final edge list (dynamic scenarios
-    /// only), streamed through the store's non-allocating `edges_iter` —
-    /// a deterministic witness that baseline and current runs replayed
-    /// the same update stream.
-    pub final_state_hash: Option<u64>,
-    /// Whether `query_stats` is a pure function of `(spec, scale, seed)`
-    /// (false for the concurrent store scenarios, where the snapshot
-    /// version each reader sees is timing-dependent).
-    pub work_deterministic: bool,
-    /// Distinct snapshot versions the reader threads observed
-    /// (concurrent store scenarios only).
-    pub versions_observed: Option<u64>,
-    /// Responses served from the result cache (service scenarios only).
-    pub cache_hits: Option<u64>,
-    /// Cache hit rate over the whole stream — reported only when it is
-    /// deterministic given the seed (the sequential cache-repeat
-    /// scenario), where the CI comparator gates it tightly.
-    pub cache_hit_rate: Option<f64>,
-    /// Requests aborted by their deadline (service scenarios only;
-    /// informational — wall-clock dependent).
-    pub deadline_exceeded: Option<u64>,
-    /// Supervisor recoveries performed — checkpoint + genesis respawns
-    /// (chaos fleet scenario only; informational).
-    pub recoveries: Option<u64>,
-    /// Replica respawns recorded by the registry (chaos fleet scenario
-    /// only; informational).
-    pub restarts: Option<u64>,
-    /// Router failovers after an endpoint died or regressed under a
-    /// dispatched request (chaos fleet scenario only; informational).
-    pub failovers: Option<u64>,
-}
-
 /// The full scenario catalog, in a stable order.
 ///
-/// Twenty-four scenarios: six static (query shapes × execution modes),
+/// Twenty-two scenarios: six static (query shapes × execution modes),
 /// one allocation contrast, three update-interleaved dynamic workloads
 /// at different update:query ratios, two concurrent 1-writer/N-reader
-/// store workloads, two fused-vs-legacy probe-engine contrast pairs
-/// (one static, one dynamic), two `QueryService` serving workloads
-/// (a concurrent mixed-priority deadline mix and the deterministic
-/// cache-repeat stream), two replicated-fleet workloads (1 writer
+/// store workloads, four probe-engine scenarios forming two
+/// fused-vs-legacy contrast pairs (one static, one dynamic), two
+/// `QueryService` serving workloads (a concurrent mixed-priority
+/// deadline mix and the deterministic cache-repeat stream), two
+/// replicated-fleet workloads (1 writer
 /// committing through the durable log, log-tailing replicas, and
 /// mixed-consistency clients behind the consistency-aware router —
 /// once fault-free, once under a seeded chaos plan with supervised
@@ -807,221 +756,52 @@ fn scaled(scale: Scale, size: usize) -> usize {
 
 /// Executes one scenario. Deterministic in `(spec, scale, seed)`: the
 /// graph, the update stream, the query nodes and the engine RNG are all
-/// derived from `seed`, so the work counters in the result are exactly
+/// derived from `seed`, so the work counters in the report are exactly
 /// reproducible (latencies, of course, are not).
-pub fn run_scenario(spec: &ScenarioSpec, scale: Scale, seed: u64) -> ScenarioResult {
+pub fn run_scenario(spec: &ScenarioSpec, scale: Scale, seed: u64) -> ScenarioReport {
     let mut config = ProbeSimConfig::paper(spec.epsilon).with_seed(seed);
     config.optimizations.fuse_probes = spec.fuse_probes;
     let engine = ProbeSim::new(config);
-    match spec.kind {
-        ScenarioKind::DynamicInterleaved {
-            updates_per_round,
-            queries_per_round,
-        } => run_dynamic(
-            spec,
-            scale,
-            seed,
-            &engine,
-            updates_per_round,
-            queries_per_round,
-        ),
-        ScenarioKind::StoreConcurrent {
-            readers,
-            updates_per_round,
-            queries_per_round,
-        } => run_store_concurrent(
-            spec,
-            scale,
-            seed,
-            &engine,
-            readers,
-            updates_per_round,
-            queries_per_round,
-        ),
-        ScenarioKind::ServiceInteractiveMix {
-            clients,
-            updates_per_round,
-            queries_per_round,
-        } => run_service_interactive_mix(
-            spec,
-            scale,
-            seed,
-            &engine,
-            clients,
-            updates_per_round,
-            queries_per_round,
-        ),
-        ScenarioKind::ServiceCacheRepeat { distinct } => {
-            run_service_cache_repeat(spec, scale, seed, &engine, distinct)
+    let runner = match spec.kind {
+        ScenarioKind::DynamicInterleaved { .. } => run_dynamic,
+        ScenarioKind::StoreConcurrent { .. } => run_store_concurrent,
+        ScenarioKind::ServiceInteractiveMix { .. } => run_service_interactive_mix,
+        ScenarioKind::ServiceCacheRepeat { .. } => run_service_cache_repeat,
+        ScenarioKind::FleetReplicated { .. } | ScenarioKind::FleetChaos { .. } => {
+            run_fleet_replicated
         }
-        ScenarioKind::FleetReplicated {
-            replicas,
-            clients,
-            updates_per_round,
-            queries_per_round,
-        } => run_fleet_replicated(
-            spec,
-            scale,
-            seed,
-            &engine,
-            replicas,
-            clients,
-            updates_per_round,
-            queries_per_round,
-            false,
-        ),
-        ScenarioKind::FleetChaos {
-            replicas,
-            clients,
-            updates_per_round,
-            queries_per_round,
-        } => run_fleet_replicated(
-            spec,
-            scale,
-            seed,
-            &engine,
-            replicas,
-            clients,
-            updates_per_round,
-            queries_per_round,
-            true,
-        ),
-        ScenarioKind::CacheRevisit {
-            distinct,
-            updates_per_round,
-            queries_per_round,
-        } => run_cache_revisit(
-            spec,
-            scale,
-            seed,
-            &engine,
-            distinct,
-            updates_per_round,
-            queries_per_round,
-        ),
-        _ => run_static(spec, scale, seed, &engine),
-    }
+        ScenarioKind::CacheRevisit { .. } => run_cache_revisit,
+        _ => run_static,
+    };
+    runner(spec, scale, seed, &engine)
 }
 
-fn run_static(spec: &ScenarioSpec, scale: Scale, seed: u64, engine: &ProbeSim) -> ScenarioResult {
-    let GraphSource::Dataset(dataset) = spec.graph else {
+/// The warmed-up graph of a sliding-window scenario, the first `updates`
+/// events of its stream, and the graph's report label.
+fn sliding_window(
+    spec: &ScenarioSpec,
+    scale: Scale,
+    seed: u64,
+    updates: usize,
+) -> (OverlayGraph, Vec<GraphUpdate>, String) {
+    let GraphSource::SlidingWindow { n, window } = spec.graph else {
         panic!(
-            "scenario {}: static kinds require a Dataset graph source",
+            "scenario {}: dynamic kinds require a SlidingWindow graph source",
             spec.name
         );
     };
-    let graph = dataset.generate(scale);
-    let nodes = sample_query_nodes(&graph, spec.queries, seed);
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut queries_executed = 0usize;
+    let (n, window) = (scaled(scale, n), scaled(scale, window));
+    let (graph, stream) = sliding_window_workload(n, window, updates, seed ^ 0x5EED);
+    let label = format!("sliding_window(n={n}, window={window})");
+    (graph, stream, label)
+}
 
-    match spec.kind {
-        ScenarioKind::Static { shape } => {
-            let mut session = engine.session(&graph);
-            for &u in &nodes {
-                let output = query_latency
-                    .time(|| session.run(shape.for_node(u)))
-                    .expect("invariant: sampled query nodes are valid");
-                query_stats.merge(&output.stats);
-                queries_executed += 1;
-            }
-        }
-        ScenarioKind::SequentialBatch | ScenarioKind::ParBatch { .. } => {
-            let queries: Vec<Query> = nodes
-                .iter()
-                .map(|&node| Query::TopK { node, k: 10 })
-                .collect();
-            // Five batch repetitions; each sample is one batch divided by
-            // its size, i.e. achieved per-query cost in the batch regime.
-            for rep in 0..5 {
-                let batch = match spec.kind {
-                    ScenarioKind::SequentialBatch => {
-                        let mut session = engine.session(&graph);
-                        let start = Instant::now();
-                        let batch = session.run_batch(&queries);
-                        query_latency
-                            .push(start.elapsed().as_secs_f64() / queries.len().max(1) as f64);
-                        batch
-                    }
-                    ScenarioKind::ParBatch { threads } => {
-                        let start = Instant::now();
-                        let batch = engine.par_batch(&graph, &queries, threads);
-                        query_latency
-                            .push(start.elapsed().as_secs_f64() / queries.len().max(1) as f64);
-                        batch
-                    }
-                    _ => unreachable!("query kinds are matched exhaustively above"),
-                }
-                .expect("invariant: sampled query nodes are valid");
-                queries_executed += queries.len();
-                if rep == 0 {
-                    // Per-query RNG derivation makes every repetition
-                    // identical work; count it once.
-                    query_stats.merge(&batch.stats);
-                }
-            }
-        }
-        ScenarioKind::SessionReuseStream { sweeps } => {
-            let mut session = engine.session(&graph);
-            for _ in 0..sweeps {
-                for &u in &nodes {
-                    let output = query_latency
-                        .time(|| session.run(Query::SingleSource { node: u }))
-                        .expect("invariant: sampled query nodes are valid");
-                    query_stats.merge(&output.stats);
-                    queries_executed += 1;
-                }
-            }
-        }
-        ScenarioKind::FreshSessionPerQuery => {
-            for _ in 0..4 {
-                for &u in &nodes {
-                    let output = query_latency
-                        .time(|| {
-                            // Fresh O(n) scratch inside the timed region —
-                            // the cost the pooled stream scenario avoids.
-                            engine.session(&graph).run(Query::SingleSource { node: u })
-                        })
-                        .expect("invariant: sampled query nodes are valid");
-                    query_stats.merge(&output.stats);
-                    queries_executed += 1;
-                }
-            }
-        }
-        ScenarioKind::DynamicInterleaved { .. }
-        | ScenarioKind::StoreConcurrent { .. }
-        | ScenarioKind::ServiceInteractiveMix { .. }
-        | ScenarioKind::ServiceCacheRepeat { .. }
-        | ScenarioKind::FleetReplicated { .. }
-        | ScenarioKind::FleetChaos { .. }
-        | ScenarioKind::CacheRevisit { .. } => {
-            unreachable!("handled by the dedicated run_* dispatchers")
-        }
-    }
-
-    ScenarioResult {
-        spec: *spec,
-        seed,
-        scale_name: scale_name(scale),
-        dataset: dataset.name().to_string(),
-        nodes: graph.num_nodes(),
-        edges: graph.num_edges(),
-        epsilon: spec.epsilon,
-        queries_executed,
-        query_latency,
-        update_latency: None,
-        query_stats,
-        final_state_hash: None,
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: None,
-        cache_hits: None,
-        cache_hit_rate: None,
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+/// The query node of request `i`: requests cycle through the sample.
+fn cycled(nodes: &[NodeId], i: usize) -> NodeId {
+    nodes
+        .get(i % nodes.len().max(1))
+        .copied()
+        .expect("invariant: the query-node sample is non-empty")
 }
 
 /// Order-sensitive FxHash of a graph's sorted edge list, streamed
@@ -1034,6 +814,285 @@ fn graph_state_hash(num_nodes: usize, edges: impl Iterator<Item = Edge>) -> u64 
         hasher.write_u32(v);
     }
     hasher.finish()
+}
+
+/// One client's query-side record — or, for the sequential runners, the
+/// whole run's: per-request latencies, counters merged over the executed
+/// queries, the versions answers came from (in order), cache hits and
+/// deadline misses.
+#[derive(Debug, Default)]
+struct Tally {
+    latencies: Latencies,
+    stats: QueryStats,
+    versions: Vec<u64>,
+    hits: u64,
+    deadline_misses: u64,
+}
+
+impl Tally {
+    /// Times one engine query and merges its counters.
+    fn time_query(&mut self, run: impl FnOnce() -> Result<QueryOutput, QueryError>) {
+        let output = self
+            .latencies
+            .time(run)
+            .expect("invariant: sampled query nodes are valid, and edge churn keeps them so");
+        self.stats.merge(&output.stats);
+    }
+
+    /// Records an answered request. Hits add zero work: `stats` counts
+    /// fresh executions only.
+    fn served(&mut self, response: &Response) {
+        self.versions.push(response.version);
+        if response.cache_hit {
+            self.hits += 1;
+        } else {
+            self.stats.merge(&response.output.stats);
+        }
+    }
+
+    /// The version this client was last answered at (0 before its first
+    /// answer).
+    fn last_version(&self) -> u64 {
+        self.versions.last().copied().unwrap_or(0)
+    }
+
+    /// How many distinct versions answered requests.
+    fn distinct_versions(&self) -> u64 {
+        let mut versions = self.versions.clone();
+        versions.sort_unstable();
+        versions.dedup();
+        versions.len() as u64
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.latencies.samples.extend(other.latencies.samples);
+        self.stats.merge(&other.stats);
+        self.versions.extend(other.versions);
+        self.hits += other.hits;
+        self.deadline_misses += other.deadline_misses;
+    }
+}
+
+/// How a concurrent run splits its work: `clients` threads share
+/// `queries` requests while one writer applies `updates` events, paced
+/// to the spec's `updates_per_round : queries_per_round` ratio.
+struct Pacing {
+    clients: usize,
+    queries: usize,
+    updates: usize,
+    updates_per_round: usize,
+    queries_per_round: usize,
+}
+
+impl Pacing {
+    fn of(spec: &ScenarioSpec) -> Pacing {
+        let (clients, updates_per_round, queries_per_round) = match spec.kind {
+            ScenarioKind::StoreConcurrent {
+                readers: clients,
+                updates_per_round,
+                queries_per_round,
+            }
+            | ScenarioKind::ServiceInteractiveMix {
+                clients,
+                updates_per_round,
+                queries_per_round,
+            }
+            | ScenarioKind::FleetReplicated {
+                clients,
+                updates_per_round,
+                queries_per_round,
+                ..
+            }
+            | ScenarioKind::FleetChaos {
+                clients,
+                updates_per_round,
+                queries_per_round,
+                ..
+            } => (clients, updates_per_round, queries_per_round),
+            _ => unreachable!("only the concurrent kinds race a writer against clients"),
+        };
+        let clients = clients.max(1);
+        let queries = spec.queries.max(clients);
+        Pacing {
+            clients,
+            queries,
+            updates: (queries * updates_per_round).div_ceil(queries_per_round.max(1)),
+            updates_per_round,
+            queries_per_round,
+        }
+    }
+}
+
+/// The concurrent harness the store, service and fleet runners share.
+///
+/// One writer thread applies `updates` in order through `write`; update
+/// `j` waits until the clients have answered their share at the pacing
+/// ratio, so the ratio holds across the whole run. `pacing.clients`
+/// threads split the requests (client `c` issues `c`, `c + clients`, …)
+/// and answer each through `request(i, tally)`, which records into the
+/// client's own tally. Both closures time their own calls. A client
+/// panic releases the writer's pacing loop and then propagates out of
+/// the join, so a failing run fails instead of hanging. Returns the
+/// writer's latencies and the clients' merged tally.
+fn drive(
+    pacing: &Pacing,
+    updates: &[GraphUpdate],
+    mut write: impl FnMut(GraphUpdate, &mut Latencies) + Send,
+    request: impl Fn(usize, &mut Tally) + Sync,
+) -> (Latencies, Tally) {
+    let completed = AtomicUsize::new(0);
+    let client_panicked = AtomicBool::new(false);
+    struct PanicFlag<'a>(&'a AtomicBool);
+    impl Drop for PanicFlag<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+    }
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut latencies = Latencies::new();
+            for (j, &update) in updates.iter().enumerate() {
+                let target = (j * pacing.queries_per_round / pacing.updates_per_round.max(1))
+                    .min(pacing.queries.saturating_sub(1));
+                // A short sleep, not a yield spin: on small machines a
+                // busy writer would steal cycles from the clients it is
+                // waiting for. Pacing precision is irrelevant here.
+                while completed.load(Ordering::Acquire) < target {
+                    if client_panicked.load(Ordering::Acquire) {
+                        return latencies;
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                write(update, &mut latencies);
+            }
+            latencies
+        });
+        let clients: Vec<_> = (0..pacing.clients)
+            .map(|c| {
+                let (completed, client_panicked, request) =
+                    (&completed, &client_panicked, &request);
+                scope.spawn(move || {
+                    let _unblock_writer = PanicFlag(client_panicked);
+                    let mut tally = Tally::default();
+                    for i in (c..pacing.queries).step_by(pacing.clients) {
+                        request(i, &mut tally);
+                        completed.fetch_add(1, Ordering::Release);
+                    }
+                    tally
+                })
+            })
+            .collect();
+        let update_latency = writer
+            .join()
+            .expect("invariant: the writer thread joins cleanly (its panic propagates here)");
+        let mut merged = Tally::default();
+        for client in clients {
+            merged.merge(
+                client
+                    .join()
+                    .expect("invariant: client threads join cleanly (their panics propagate here)"),
+            );
+        }
+        (update_latency, merged)
+    })
+}
+
+/// Batch repetitions per batch scenario; each is one latency sample.
+const BATCH_REPS: usize = 5;
+
+fn run_static(spec: &ScenarioSpec, scale: Scale, seed: u64, engine: &ProbeSim) -> ScenarioReport {
+    let GraphSource::Dataset(dataset) = spec.graph else {
+        panic!(
+            "scenario {}: static kinds require a Dataset graph source",
+            spec.name
+        );
+    };
+    let graph = dataset.generate(scale);
+    let nodes = sample_query_nodes(&graph, spec.queries, seed);
+    let mut tally = Tally::default();
+
+    match spec.kind {
+        ScenarioKind::Static { shape } => {
+            let mut session = engine.session(&graph);
+            for &u in &nodes {
+                tally.time_query(|| session.run(shape.for_node(u)));
+            }
+        }
+        ScenarioKind::SequentialBatch | ScenarioKind::ParBatch { .. } => {
+            let queries: Vec<Query> = nodes
+                .iter()
+                .map(|&node| Query::TopK { node, k: 10 })
+                .collect();
+            // Each sample is one batch divided by its size, i.e. achieved
+            // per-query cost in the batch regime.
+            for rep in 0..BATCH_REPS {
+                let start;
+                let batch = match spec.kind {
+                    ScenarioKind::ParBatch { threads } => {
+                        start = Instant::now();
+                        engine.par_batch(&graph, &queries, threads)
+                    }
+                    _ => {
+                        // The session's scratch is bound outside the timer.
+                        let mut session = engine.session(&graph);
+                        start = Instant::now();
+                        session.run_batch(&queries)
+                    }
+                };
+                let elapsed = start.elapsed().as_secs_f64();
+                tally.latencies.push(elapsed / queries.len().max(1) as f64);
+                let batch = batch.expect("invariant: sampled query nodes are valid");
+                if rep == 0 {
+                    // Per-query RNG derivation makes every repetition
+                    // identical work; count it once.
+                    tally.stats.merge(&batch.stats);
+                }
+            }
+        }
+        ScenarioKind::SessionReuseStream { sweeps } => {
+            let mut session = engine.session(&graph);
+            for _ in 0..sweeps {
+                for &node in &nodes {
+                    tally.time_query(|| session.run(Query::SingleSource { node }));
+                }
+            }
+        }
+        ScenarioKind::FreshSessionPerQuery => {
+            for _ in 0..4 {
+                for &node in &nodes {
+                    // Fresh O(n) scratch inside the timed region — the
+                    // cost the pooled stream scenario avoids.
+                    tally.time_query(|| engine.session(&graph).run(Query::SingleSource { node }));
+                }
+            }
+        }
+        _ => unreachable!("run_scenario sends the other kinds to their own runners"),
+    }
+
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
+        seed,
+        (
+            dataset.name().to_string(),
+            graph.num_nodes(),
+            graph.num_edges(),
+        ),
+        &tally.latencies,
+        &tally.stats,
+        None,
+    );
+    if matches!(
+        spec.kind,
+        ScenarioKind::SequentialBatch | ScenarioKind::ParBatch { .. }
+    ) {
+        // One sample covers a whole batch; every query of every
+        // repetition counts as executed.
+        report.queries = BATCH_REPS * nodes.len();
+    }
+    report
 }
 
 /// The query shapes the revisit scenarios rotate through: every kind is
@@ -1049,14 +1108,10 @@ const REVISIT_SHAPES: [QueryShape; 3] = [
 /// a version executes and later visits hit its entry under a different
 /// query kind.
 fn revisit_query(sources: &[NodeId], i: usize) -> Query {
-    let u = sources
-        .get(i % sources.len().max(1))
-        .copied()
-        .expect("invariant: the query-node sample is non-empty");
     REVISIT_SHAPES
         .get((i / sources.len().max(1)) % REVISIT_SHAPES.len())
         .expect("invariant: REVISIT_SHAPES is non-empty")
-        .for_node(u)
+        .for_node(cycled(sources, i))
 }
 
 fn run_cache_revisit(
@@ -1064,31 +1119,29 @@ fn run_cache_revisit(
     scale: Scale,
     seed: u64,
     engine: &ProbeSim,
-    distinct: usize,
-    updates_per_round: usize,
-    queries_per_round: usize,
-) -> ScenarioResult {
+) -> ScenarioReport {
+    let ScenarioKind::CacheRevisit {
+        distinct,
+        updates_per_round,
+        queries_per_round,
+    } = spec.kind
+    else {
+        unreachable!("run_scenario sends only CacheRevisit here");
+    };
     let rounds = spec.queries.div_ceil(queries_per_round.max(1));
-    let (store, updates, dataset) = match spec.graph {
+    let (store, updates, label) = match spec.graph {
         GraphSource::Dataset(dataset) => (
             GraphStore::from_view(&dataset.generate(scale)),
             Vec::new(),
             dataset.name().to_string(),
         ),
-        GraphSource::SlidingWindow { n, window } => {
-            let n = scaled(scale, n);
-            let window = scaled(scale, window);
-            let (graph, updates) =
-                sliding_window_workload(n, window, rounds * updates_per_round, seed ^ 0x5EED);
-            (
-                GraphStore::from_view(&graph),
-                updates,
-                format!("sliding_window(n={n}, window={window})"),
-            )
+        GraphSource::SlidingWindow { .. } => {
+            let (graph, updates, label) =
+                sliding_window(spec, scale, seed, rounds * updates_per_round);
+            (GraphStore::from_view(&graph), updates, label)
         }
     };
-    let nodes = store.num_nodes();
-    let start_edges = store.num_edges();
+    let (nodes, edges) = (store.num_nodes(), store.num_edges());
     let sources = sample_query_nodes(&store, distinct.max(1), seed);
     let service = ServiceBuilder::new(engine.config().clone())
         .workers(1)
@@ -1097,10 +1150,8 @@ fn run_cache_revisit(
         .cache_capacity(sources.len() * (rounds + 1))
         .build(store);
 
-    let mut query_latency = Latencies::new();
+    let mut tally = Tally::default();
     let mut update_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut cache_hits = 0u64;
     let mut update_iter = updates.into_iter();
     let mut next_query = 0usize;
     for _ in 0..rounds {
@@ -1110,131 +1161,90 @@ fn run_cache_revisit(
         for _ in 0..queries_per_round.min(spec.queries - next_query) {
             let query = revisit_query(&sources, next_query);
             next_query += 1;
-            let response = query_latency
+            let response = tally
+                .latencies
                 .time(|| service.call(Request::new(query)))
                 .expect("invariant: sampled query nodes are valid");
-            // Hits add zero work: query_stats counts executions only.
-            if response.cache_hit {
-                cache_hits += 1;
-            } else {
-                query_stats.merge(&response.output.stats);
-            }
+            tally.served(&response);
         }
     }
     let dynamic = spec.is_dynamic();
 
-    ScenarioResult {
-        spec: *spec,
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset,
-        nodes,
-        edges: start_edges,
-        epsilon: spec.epsilon,
-        queries_executed: next_query,
-        query_latency,
-        update_latency: dynamic.then_some(update_latency),
-        query_stats,
-        final_state_hash: dynamic.then(|| graph_state_hash(nodes, service.snapshot().edges_iter())),
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: None,
-        cache_hits: Some(cache_hits),
-        cache_hit_rate: Some(cache_hits as f64 / next_query.max(1) as f64),
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+        (label, nodes, edges),
+        &tally.latencies,
+        &tally.stats,
+        dynamic.then_some(&update_latency),
+    );
+    report.final_state_hash =
+        dynamic.then(|| graph_state_hash(nodes, service.snapshot().edges_iter()));
+    report.cache_hits = Some(tally.hits);
+    report.cache_hit_rate = Some(tally.hits as f64 / next_query.max(1) as f64);
+    report
 }
 
-fn run_dynamic(
-    spec: &ScenarioSpec,
-    scale: Scale,
-    seed: u64,
-    engine: &ProbeSim,
-    updates_per_round: usize,
-    queries_per_round: usize,
-) -> ScenarioResult {
-    let GraphSource::SlidingWindow { n, window } = spec.graph else {
-        panic!(
-            "scenario {}: dynamic kinds require a SlidingWindow graph source",
-            spec.name
-        );
+fn run_dynamic(spec: &ScenarioSpec, scale: Scale, seed: u64, engine: &ProbeSim) -> ScenarioReport {
+    let ScenarioKind::DynamicInterleaved {
+        updates_per_round,
+        queries_per_round,
+    } = spec.kind
+    else {
+        unreachable!("run_scenario sends only DynamicInterleaved here");
     };
-    let n = scaled(scale, n);
-    let window = scaled(scale, window);
     let rounds = spec.queries.div_ceil(queries_per_round.max(1));
-    let total_updates = rounds * updates_per_round;
-    let (graph, updates) = sliding_window_workload(n, window, total_updates, seed ^ 0x5EED);
+    let (graph, updates, label) = sliding_window(spec, scale, seed, rounds * updates_per_round);
     // The overlay-backed store is the serving path: updates mutate the
     // copy-on-write overlay, every query binds a fresh published
     // snapshot. Identical edge sets mean identical estimates and work
     // counters to a scratch CSR rebuild, bit for bit.
     let mut store = GraphStore::from_view(&graph);
     drop(graph);
-    let start_edges = store.num_edges();
+    let (n, start_edges) = (store.num_nodes(), store.num_edges());
     let query_nodes = sample_query_nodes(&store, spec.queries.max(queries_per_round), seed);
 
-    let mut query_latency = Latencies::new();
+    let mut tally = Tally::default();
     let mut update_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
     let mut update_iter = updates.into_iter();
-    let mut next_query = 0usize;
-
-    for _ in 0..rounds {
+    for round in 0..rounds {
         for update in update_iter.by_ref().take(updates_per_round) {
             update_latency.time(|| store.apply(update));
         }
-        for _ in 0..queries_per_round {
-            let u = query_nodes[next_query % query_nodes.len()];
-            next_query += 1;
+        for i in round * queries_per_round..(round + 1) * queries_per_round {
+            let node = cycled(&query_nodes, i);
             // Index-free means the query needs nothing but the current
             // graph: snapshot publication and scratch binding both happen
             // inside the timed region, exactly what a live service pays.
-            let output = query_latency
-                .time(|| {
-                    engine
-                        .session(store.snapshot())
-                        .run(Query::SingleSource { node: u })
-                })
-                .expect("invariant: query nodes stay valid under edge churn");
-            query_stats.merge(&output.stats);
+            tally.time_query(|| {
+                engine
+                    .session(store.snapshot())
+                    .run(Query::SingleSource { node })
+            });
         }
     }
 
-    ScenarioResult {
-        spec: *spec,
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset: format!("sliding_window(n={n}, window={window})"),
-        nodes: n,
-        edges: start_edges,
-        epsilon: spec.epsilon,
-        queries_executed: next_query,
-        query_latency,
-        update_latency: Some(update_latency),
-        query_stats,
-        final_state_hash: Some(graph_state_hash(n, store.edges_iter())),
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: None,
-        cache_hits: None,
-        cache_hit_rate: None,
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+        (label, n, start_edges),
+        &tally.latencies,
+        &tally.stats,
+        Some(&update_latency),
+    );
+    report.final_state_hash = Some(graph_state_hash(n, store.edges_iter()));
+    report
 }
 
 /// The 1-writer / N-reader concurrent serving benchmark.
 ///
 /// The writer owns the [`GraphStore`], applies the seeded update stream
-/// (paced against the readers' aggregate progress so the configured
-/// update:query ratio holds across the whole run) and publishes a
-/// snapshot after every update. Readers share only a mutex-guarded slot
-/// holding the latest snapshot: each query clones it (one `Arc` bump),
-/// then runs on an owned session — the writer is never blocked by a
-/// query, and a query never waits for a writer.
+/// and publishes a snapshot after every update. Readers share only a
+/// mutex-guarded slot holding the latest snapshot: each query clones it
+/// (one `Arc` bump), then runs on an owned session — the writer is never
+/// blocked by a query, and a query never waits for a writer.
 ///
 /// Consistency recording: every reader keeps the versions it observed
 /// and panics if they ever go backwards (snapshot publication must be
@@ -1244,25 +1254,9 @@ fn run_store_concurrent(
     scale: Scale,
     seed: u64,
     engine: &ProbeSim,
-    readers: usize,
-    updates_per_round: usize,
-    queries_per_round: usize,
-) -> ScenarioResult {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let GraphSource::SlidingWindow { n, window } = spec.graph else {
-        panic!(
-            "scenario {}: concurrent kinds require a SlidingWindow graph source",
-            spec.name
-        );
-    };
-    let n = scaled(scale, n);
-    let window = scaled(scale, window);
-    let readers = readers.max(1);
-    let total_queries = spec.queries.max(readers);
-    let total_updates = (total_queries * updates_per_round).div_ceil(queries_per_round.max(1));
-    let (graph, updates) = sliding_window_workload(n, window, total_updates, seed ^ 0x5EED);
+) -> ScenarioReport {
+    let pacing = Pacing::of(spec);
+    let (graph, updates, label) = sliding_window(spec, scale, seed, pacing.updates);
     // Aggressive compaction so the run also exercises folds while
     // readers are live (the default policy would rarely trigger at CI
     // scale).
@@ -1271,138 +1265,49 @@ fn run_store_concurrent(
         min_touched_lists: 32,
     });
     drop(graph);
-    let start_edges = store.num_edges();
-    let query_nodes = sample_query_nodes(&store, total_queries, seed);
+    let (n, start_edges) = (store.num_nodes(), store.num_edges());
+    let query_nodes = sample_query_nodes(&store, pacing.queries, seed);
 
     let slot = Mutex::new(store.snapshot());
-    let completed = AtomicUsize::new(0);
-    // Set when a reader unwinds, so the writer's pacing loop cannot wait
-    // forever on progress that will never come — the scenario then fails
-    // with the reader's panic instead of hanging.
-    let reader_panicked = std::sync::atomic::AtomicBool::new(false);
-    struct PanicFlag<'a>(&'a std::sync::atomic::AtomicBool);
-    impl Drop for PanicFlag<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::Release);
-            }
-        }
-    }
-    let (update_latency, reader_results) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            let mut update_latency = Latencies::new();
-            for (j, update) in updates.iter().copied().enumerate() {
-                // Pace the stream: update j waits for the readers to have
-                // answered their share at the configured ratio.
-                let target = (j * queries_per_round / updates_per_round.max(1))
-                    .min(total_queries.saturating_sub(1));
-                // A short sleep, not a yield spin: on small machines a
-                // busy writer would steal cycles from the readers it is
-                // waiting for. Pacing precision is irrelevant here.
-                while completed.load(Ordering::Acquire) < target {
-                    if reader_panicked.load(Ordering::Acquire) {
-                        return update_latency;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-                // The writer's role cost is apply + publish: the
-                // O(touched) freeze and the slot swap are what a serving
-                // writer pays per update, so they belong in the sample.
-                update_latency.time(|| {
-                    store.apply(update);
-                    *slot.lock().expect("snapshot slot poisoned") = store.snapshot();
-                });
-            }
-            update_latency
-        });
-        let reader_handles: Vec<_> = (0..readers)
-            .map(|r| {
-                let slot = &slot;
-                let completed = &completed;
-                let query_nodes = &query_nodes;
-                let reader_panicked = &reader_panicked;
-                scope.spawn(move || {
-                    let _unblock_writer = PanicFlag(reader_panicked);
-                    let mut latencies = Latencies::new();
-                    let mut stats = QueryStats::default();
-                    let mut versions: Vec<u64> = Vec::new();
-                    for i in (r..total_queries).step_by(readers) {
-                        let snapshot = slot.lock().expect("snapshot slot poisoned").clone();
-                        if let Some(&last) = versions.last() {
-                            assert!(
-                                snapshot.version() >= last,
-                                "snapshot versions went backwards: {} after {last}",
-                                snapshot.version()
-                            );
-                        }
-                        versions.push(snapshot.version());
-                        let u = query_nodes[i % query_nodes.len()];
-                        let output = latencies
-                            .time(|| {
-                                engine
-                                    .session(snapshot)
-                                    .run(Query::SingleSource { node: u })
-                            })
-                            .expect("invariant: query nodes stay valid under edge churn");
-                        stats.merge(&output.stats);
-                        completed.fetch_add(1, Ordering::Release);
-                    }
-                    (latencies, stats, versions)
-                })
-            })
-            .collect();
-        let update_latency = writer
-            .join()
-            .expect("invariant: the writer thread joins cleanly (its panic propagates here)");
-        let reader_results: Vec<_> = reader_handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .expect("invariant: reader threads join cleanly (their panics propagate here)")
-            })
-            .collect();
-        (update_latency, reader_results)
-    });
+    let (update_latency, tally) = drive(
+        &pacing,
+        &updates,
+        |update, latencies| {
+            // The writer's role cost is apply + publish: the O(touched)
+            // freeze and the slot swap are what a serving writer pays
+            // per update, so they belong in the sample.
+            latencies.time(|| {
+                store.apply(update);
+                *slot.lock().expect("snapshot slot poisoned") = store.snapshot();
+            });
+        },
+        |i, tally| {
+            let snapshot = slot.lock().expect("snapshot slot poisoned").clone();
+            assert!(
+                snapshot.version() >= tally.last_version(),
+                "snapshot versions went backwards: {} after {}",
+                snapshot.version(),
+                tally.last_version()
+            );
+            tally.versions.push(snapshot.version());
+            let node = cycled(&query_nodes, i);
+            tally.time_query(|| engine.session(snapshot).run(Query::SingleSource { node }));
+        },
+    );
 
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut distinct_versions: Vec<u64> = Vec::new();
-    let mut queries_executed = 0usize;
-    for (latencies, stats, versions) in reader_results {
-        queries_executed += latencies.count();
-        for &sample in latencies.samples() {
-            query_latency.push(sample);
-        }
-        query_stats.merge(&stats);
-        distinct_versions.extend(versions);
-    }
-    distinct_versions.sort_unstable();
-    distinct_versions.dedup();
-    let final_hash = graph_state_hash(n, store.edges_iter());
-
-    ScenarioResult {
-        spec: *spec,
+    let label = format!("{label} x {} readers", pacing.clients);
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset: format!("sliding_window(n={n}, window={window}) x {readers} readers"),
-        nodes: n,
-        edges: start_edges,
-        epsilon: spec.epsilon,
-        queries_executed,
-        query_latency,
-        update_latency: Some(update_latency),
-        query_stats,
-        final_state_hash: Some(final_hash),
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: Some(distinct_versions.len() as u64),
-        cache_hits: None,
-        cache_hit_rate: None,
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+        (label, n, start_edges),
+        &tally.latencies,
+        &tally.stats,
+        Some(&update_latency),
+    );
+    report.final_state_hash = Some(graph_state_hash(n, store.edges_iter()));
+    report.versions_observed = Some(tally.distinct_versions());
+    report
 }
 
 /// Per-request deadline the interactive-mix scenario arms. Generous at
@@ -1410,9 +1315,17 @@ fn run_store_concurrent(
 /// not measuring how often an overloaded runner trips it.
 const SERVICE_MIX_DEADLINE: Duration = Duration::from_millis(500);
 
+/// Alternating priorities, so both queue lanes serve under contention.
+fn alternating_priority(i: usize) -> Priority {
+    if i.is_multiple_of(2) {
+        Priority::Interactive
+    } else {
+        Priority::Batch
+    }
+}
+
 /// The full-facade serving benchmark: one writer thread streaming
-/// updates through `QueryService::commit` (paced to client progress at
-/// the configured update:query ratio) while `clients` threads issue
+/// updates through `QueryService::commit` while `clients` threads issue
 /// deadline-armed, mixed-priority blocking `call`s.
 ///
 /// Latencies are **client-observed** (queue wait + execution — what a
@@ -1421,185 +1334,73 @@ const SERVICE_MIX_DEADLINE: Duration = Duration::from_millis(500);
 /// hits are scheduling-dependent (which version a call answers at
 /// depends on the race), so the comparator gates latency and the final
 /// workload fingerprint only.
-// The knobs are the scenario spec, flattened; a config struct would
-// just restate ScenarioSpec field by field.
-#[allow(clippy::too_many_arguments)]
 fn run_service_interactive_mix(
     spec: &ScenarioSpec,
     scale: Scale,
     seed: u64,
     engine: &ProbeSim,
-    clients: usize,
-    updates_per_round: usize,
-    queries_per_round: usize,
-) -> ScenarioResult {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    let GraphSource::SlidingWindow { n, window } = spec.graph else {
-        panic!(
-            "scenario {}: service mix requires a SlidingWindow graph source",
-            spec.name
-        );
-    };
-    let n = scaled(scale, n);
-    let window = scaled(scale, window);
-    let clients = clients.max(1);
-    let total_queries = spec.queries.max(clients);
-    let total_updates = (total_queries * updates_per_round).div_ceil(queries_per_round.max(1));
-    let (graph, updates) = sliding_window_workload(n, window, total_updates, seed ^ 0x5EED);
+) -> ScenarioReport {
+    let pacing = Pacing::of(spec);
+    let (graph, updates, label) = sliding_window(spec, scale, seed, pacing.updates);
     // Half as many distinct nodes as queries: clients revisit the set,
     // so the cache is exercised *under churn* (hits only happen when no
     // effective update landed in between — scheduling-dependent, which
     // is why this scenario never reports a hit rate).
-    let query_nodes = sample_query_nodes(&graph, total_queries.div_ceil(2), seed);
+    let query_nodes = sample_query_nodes(&graph, pacing.queries.div_ceil(2), seed);
     let service = ServiceBuilder::new(engine.config().clone())
-        .workers(clients)
+        .workers(pacing.clients)
         .cache_capacity(256)
         .retained_versions(8)
         .default_deadline(SERVICE_MIX_DEADLINE)
         .build(GraphStore::from_view(&graph));
+    let n = graph.num_nodes();
     drop(graph);
     let start_edges = service.snapshot().num_edges();
 
-    let completed = AtomicUsize::new(0);
-    // Set when a client unwinds so the writer's pacing loop cannot wait
-    // forever on progress that will never come.
-    let client_panicked = AtomicBool::new(false);
-    struct PanicFlag<'a>(&'a AtomicBool);
-    impl Drop for PanicFlag<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::Release);
-            }
-        }
-    }
-    let (update_latency, client_results) = std::thread::scope(|scope| {
-        let service = &service;
-        let writer = scope.spawn(|| {
-            let mut update_latency = Latencies::new();
-            for (j, update) in updates.iter().copied().enumerate() {
-                let target = (j * queries_per_round / updates_per_round.max(1))
-                    .min(total_queries.saturating_sub(1));
-                while completed.load(Ordering::Acquire) < target {
-                    if client_panicked.load(Ordering::Acquire) {
-                        return update_latency;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
+    let (update_latency, tally) = drive(
+        &pacing,
+        &updates,
+        |update, latencies| {
+            // The writer's cost per event: store mutation + cache
+            // invalidation + snapshot publication + retention-ring
+            // maintenance.
+            latencies.time(|| service.commit(update));
+        },
+        |i, tally| {
+            let request = Request::new(Query::SingleSource {
+                node: cycled(&query_nodes, i),
+            })
+            .with_priority(alternating_priority(i))
+            .with_consistency(Consistency::Latest);
+            match tally.latencies.time(|| service.call(request)) {
+                Ok(response) => tally.served(&response),
+                Err(ServiceError::Query(QueryError::DeadlineExceeded { partial })) => {
+                    tally.deadline_misses += 1;
+                    tally.stats.merge(&partial);
                 }
-                // The writer's cost per event: store mutation + cache
-                // invalidation + snapshot publication + retention-ring
-                // maintenance.
-                update_latency.time(|| service.commit(update));
+                Err(other) => panic!("unexpected service error: {other}"),
             }
-            update_latency
-        });
-        let client_handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let completed = &completed;
-                let query_nodes = &query_nodes;
-                let client_panicked = &client_panicked;
-                scope.spawn(move || {
-                    let _unblock_writer = PanicFlag(client_panicked);
-                    let mut latencies = Latencies::new();
-                    let mut stats = QueryStats::default();
-                    let mut versions: Vec<u64> = Vec::new();
-                    let mut hits = 0u64;
-                    let mut deadline_misses = 0u64;
-                    for i in (c..total_queries).step_by(clients) {
-                        let node = query_nodes[i % query_nodes.len()];
-                        // Alternate priorities so both queue lanes serve
-                        // under contention.
-                        let priority = if i % 2 == 0 {
-                            Priority::Interactive
-                        } else {
-                            Priority::Batch
-                        };
-                        let request = Request::new(Query::SingleSource { node })
-                            .with_priority(priority)
-                            .with_consistency(Consistency::Latest);
-                        let outcome = latencies.time(|| service.call(request));
-                        match outcome {
-                            Ok(response) => {
-                                versions.push(response.version);
-                                if response.cache_hit {
-                                    hits += 1;
-                                } else {
-                                    stats.merge(&response.output.stats);
-                                }
-                            }
-                            Err(ServiceError::Query(
-                                probesim_core::QueryError::DeadlineExceeded { partial },
-                            )) => {
-                                deadline_misses += 1;
-                                stats.merge(&partial);
-                            }
-                            Err(other) => panic!("unexpected service error: {other}"),
-                        }
-                        completed.fetch_add(1, Ordering::Release);
-                    }
-                    (latencies, stats, versions, hits, deadline_misses)
-                })
-            })
-            .collect();
-        let update_latency = writer
-            .join()
-            .expect("invariant: the writer thread joins cleanly (its panic propagates here)");
-        let client_results: Vec<_> = client_handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .expect("invariant: client threads join cleanly (their panics propagate here)")
-            })
-            .collect();
-        (update_latency, client_results)
-    });
+        },
+    );
 
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut distinct_versions: Vec<u64> = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut deadline_exceeded = 0u64;
-    let mut queries_executed = 0usize;
-    for (latencies, stats, versions, hits, misses) in client_results {
-        queries_executed += latencies.count();
-        for &sample in latencies.samples() {
-            query_latency.push(sample);
-        }
-        query_stats.merge(&stats);
-        distinct_versions.extend(versions);
-        cache_hits += hits;
-        deadline_exceeded += misses;
-    }
-    distinct_versions.sort_unstable();
-    distinct_versions.dedup();
-    let snapshot = service.snapshot();
-    let final_hash = graph_state_hash(n, snapshot.edges_iter());
-
-    ScenarioResult {
-        spec: *spec,
+    let label = format!("{label} x {} clients", pacing.clients);
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset: format!("sliding_window(n={n}, window={window}) x {clients} clients"),
-        nodes: n,
-        edges: start_edges,
-        epsilon: spec.epsilon,
-        queries_executed,
-        query_latency,
-        update_latency: Some(update_latency),
-        query_stats,
-        final_state_hash: Some(final_hash),
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: Some(distinct_versions.len() as u64),
-        cache_hits: Some(cache_hits),
-        // Scheduling-dependent here — not reported, so the tight CI
-        // gate on hit rate stays armed only where it is deterministic.
-        cache_hit_rate: None,
-        deadline_exceeded: Some(deadline_exceeded),
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+        (label, n, start_edges),
+        &tally.latencies,
+        &tally.stats,
+        Some(&update_latency),
+    );
+    report.final_state_hash = Some(graph_state_hash(n, service.snapshot().edges_iter()));
+    report.versions_observed = Some(tally.distinct_versions());
+    // The hit rate is scheduling-dependent here and stays unreported,
+    // so the tight CI gate on it stays armed only where it is
+    // deterministic.
+    report.cache_hits = Some(tally.hits);
+    report.deadline_exceeded = Some(tally.deadline_misses);
+    report
 }
 
 /// The replicated-fleet benchmark: the whole fifth tier behind one
@@ -1615,45 +1416,34 @@ fn run_service_interactive_mix(
 /// fingerprint, and an in-run check that every replica's final edge set
 /// hashes identically to the primary's.
 ///
-/// With `chaos` set, the same mix runs under a seeded [`FaultPlan`]:
-/// replicas crash, stall, apply slowly and detect corrupt log reads
-/// mid-run while a fast-ticking supervisor checkpoints the primary and
-/// respawns the dead. The end-state agreement assert is unchanged —
-/// recovery must reproduce the exact history — and the result carries
-/// the recovery/restart/failover counters as informational fields.
-#[allow(clippy::too_many_arguments)] // mirrors the other scenario runners' dispatch shape
+/// The [`ScenarioKind::FleetChaos`] variant runs the same mix under a
+/// seeded [`FaultPlan`]: replicas crash, stall, apply slowly and detect
+/// corrupt log reads mid-run while a fast-ticking supervisor checkpoints
+/// the primary and respawns the dead. The end-state agreement assert is
+/// unchanged — recovery must reproduce the exact history — and the
+/// report carries the recovery/restart/failover counters as
+/// informational fields.
 fn run_fleet_replicated(
     spec: &ScenarioSpec,
     scale: Scale,
     seed: u64,
     engine: &ProbeSim,
-    replicas: usize,
-    clients: usize,
-    updates_per_round: usize,
-    queries_per_round: usize,
-    chaos: bool,
-) -> ScenarioResult {
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-    let GraphSource::SlidingWindow { n, window } = spec.graph else {
-        unreachable!(
-            "scenario {}: the fleet mix requires a SlidingWindow graph source",
-            spec.name
-        );
+) -> ScenarioReport {
+    let (replicas, chaos) = match spec.kind {
+        ScenarioKind::FleetReplicated { replicas, .. } => (replicas, false),
+        ScenarioKind::FleetChaos { replicas, .. } => (replicas, true),
+        _ => unreachable!("run_scenario sends only the fleet kinds here"),
     };
-    let n = scaled(scale, n);
-    let window = scaled(scale, window);
-    let clients = clients.max(1);
-    let total_queries = spec.queries.max(clients);
-    let total_updates = (total_queries * updates_per_round).div_ceil(queries_per_round.max(1));
-    let (graph, updates) = sliding_window_workload(n, window, total_updates, seed ^ 0x5EED);
-    let query_nodes = sample_query_nodes(&graph, total_queries.div_ceil(2), seed);
+    let pacing = Pacing::of(spec);
+    let (graph, updates, label) = sliding_window(spec, scale, seed, pacing.updates);
+    let query_nodes = sample_query_nodes(&graph, pacing.queries.div_ceil(2), seed);
     let mut builder = Fleet::builder(engine.config().clone())
         .replicas(replicas)
         .workers(2)
         .cache_capacity(256)
         // Generous ring: every version of the run stays pinnable on
-        // every endpoint (total_updates never exceeds it at any scale).
+        // every endpoint (the update count never exceeds it at any
+        // scale).
         .retained_versions(64)
         .default_deadline(SERVICE_MIX_DEADLINE);
     if chaos {
@@ -1666,7 +1456,7 @@ fn run_fleet_replicated(
         // The restart budget stays above the worst case (one crash +
         // one corrupt read per slot), so no replica retires and the
         // end-state agreement loop below keeps its full-fleet meaning.
-        let horizon = total_updates as u64;
+        let horizon = pacing.updates as u64;
         let mid = (horizon / 2).max(1);
         builder = builder
             .faults(
@@ -1679,163 +1469,65 @@ fn run_fleet_replicated(
             .restart_budget(4);
     }
     let fleet = builder.build(graph.snapshot());
+    let n = graph.num_nodes();
     drop(graph);
     let start_edges = fleet.primary().snapshot().num_edges();
 
-    let completed = AtomicUsize::new(0);
     // The writer's freshest commit token, published so clients can
     // chain read-your-writes requests from it.
     let watermark = AtomicU64::new(0);
-    let client_panicked = AtomicBool::new(false);
-    struct PanicFlag<'a>(&'a AtomicBool);
-    impl Drop for PanicFlag<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::Release);
-            }
-        }
-    }
-    let (update_latency, client_results) = std::thread::scope(|scope| {
-        let fleet = &fleet;
-        let writer = scope.spawn(|| {
-            let mut update_latency = Latencies::new();
-            for (j, update) in updates.iter().copied().enumerate() {
-                let target = (j * queries_per_round / updates_per_round.max(1))
-                    .min(total_queries.saturating_sub(1));
-                while completed.load(Ordering::Acquire) < target {
-                    if client_panicked.load(Ordering::Acquire) {
-                        return update_latency;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
+    let (update_latency, tally) = drive(
+        &pacing,
+        &updates,
+        |update, latencies| {
+            // The writer's cost per event: primary mutation + snapshot
+            // publication + the durable-log append the replicas tail.
+            let commit = latencies.time(|| fleet.commit(update));
+            watermark.store(commit.version, Ordering::Release);
+        },
+        |i, tally| {
+            // Rotate through the consistency levels so the router
+            // exercises all three resolution paths under one run.
+            let consistency = match i % 3 {
+                0 => Consistency::Latest,
+                // Read the writer's write: spell the request in the
+                // shared wire form and parse it back — the same round
+                // trip a remote client would perform.
+                1 => format!("at-least:{}", watermark.load(Ordering::Acquire))
+                    .parse::<Consistency>()
+                    .expect("invariant: the consistency wire form round-trips"),
+                _ => Consistency::Pinned(tally.last_version()),
+            };
+            let request = Request::new(Query::SingleSource {
+                node: cycled(&query_nodes, i),
+            })
+            .with_priority(alternating_priority(i))
+            .with_consistency(consistency);
+            match tally.latencies.time(|| fleet.call(request)) {
+                Ok(response) => tally.served(&response),
+                Err(FleetError::Service(ServiceError::Query(QueryError::DeadlineExceeded {
+                    partial,
+                }))) => {
+                    tally.deadline_misses += 1;
+                    tally.stats.merge(&partial);
                 }
-                // The writer's cost per event: primary mutation +
-                // snapshot publication + the durable-log append the
-                // replicas tail.
-                let commit = update_latency.time(|| fleet.commit(update));
-                watermark.store(commit.version, Ordering::Release);
+                // The catch-up budget ran out before any replica reached
+                // the floor: the same deadline-pressure signal, shed with
+                // a typed error instead of partial work.
+                Err(FleetError::LaggingReplicas { .. }) => tally.deadline_misses += 1,
+                // Under chaos an endpoint can die or regress while the
+                // request is in flight and exhaust the deadline before
+                // the router's failover finds a survivor — a transient
+                // miss, not a protocol violation.
+                Err(FleetError::Service(
+                    ServiceError::ShuttingDown | ServiceError::VersionNotReached { .. },
+                )) if chaos => tally.deadline_misses += 1,
+                Err(other) => {
+                    unreachable!("unexpected fleet error under an uncontended run: {other}")
+                }
             }
-            update_latency
-        });
-        let client_handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let completed = &completed;
-                let watermark = &watermark;
-                let query_nodes = &query_nodes;
-                let client_panicked = &client_panicked;
-                scope.spawn(move || {
-                    let _unblock_writer = PanicFlag(client_panicked);
-                    let mut latencies = Latencies::new();
-                    let mut stats = QueryStats::default();
-                    let mut versions: Vec<u64> = Vec::new();
-                    let mut hits = 0u64;
-                    let mut deadline_misses = 0u64;
-                    let mut last_seen = 0u64;
-                    for i in (c..total_queries).step_by(clients) {
-                        let node = query_nodes
-                            .get(i % query_nodes.len())
-                            .copied()
-                            .expect("invariant: the query-node sample is non-empty");
-                        // Rotate through the consistency levels so the
-                        // router exercises all three resolution paths
-                        // under one run.
-                        let consistency = match i % 3 {
-                            0 => Consistency::Latest,
-                            1 => {
-                                // Read the writer's write: spell the
-                                // request in the shared wire form and
-                                // parse it back — the same round trip a
-                                // remote client would perform.
-                                let floor = watermark.load(Ordering::Acquire);
-                                format!("at-least:{floor}")
-                                    .parse::<Consistency>()
-                                    .expect("invariant: the consistency wire form round-trips")
-                            }
-                            _ => Consistency::Pinned(last_seen),
-                        };
-                        let priority = if i % 2 == 0 {
-                            Priority::Interactive
-                        } else {
-                            Priority::Batch
-                        };
-                        let request = Request::new(Query::SingleSource { node })
-                            .with_priority(priority)
-                            .with_consistency(consistency);
-                        let outcome = latencies.time(|| fleet.call(request));
-                        match outcome {
-                            Ok(response) => {
-                                last_seen = response.version;
-                                versions.push(response.version);
-                                if response.cache_hit {
-                                    hits += 1;
-                                } else {
-                                    stats.merge(&response.output.stats);
-                                }
-                            }
-                            Err(FleetError::Service(ServiceError::Query(
-                                probesim_core::QueryError::DeadlineExceeded { partial },
-                            ))) => {
-                                deadline_misses += 1;
-                                stats.merge(&partial);
-                            }
-                            // The catch-up budget ran out before any
-                            // replica reached the floor: the same
-                            // deadline-pressure signal, shed with a
-                            // typed error instead of partial work.
-                            Err(FleetError::LaggingReplicas { .. }) => {
-                                deadline_misses += 1;
-                            }
-                            // Under chaos an endpoint can die or regress
-                            // while the request is in flight and exhaust
-                            // the deadline before the router's failover
-                            // finds a survivor — a transient miss, not a
-                            // protocol violation.
-                            Err(FleetError::Service(
-                                ServiceError::ShuttingDown | ServiceError::VersionNotReached { .. },
-                            )) if chaos => {
-                                deadline_misses += 1;
-                            }
-                            Err(other) => unreachable!(
-                                "unexpected fleet error under an uncontended run: {other}"
-                            ),
-                        }
-                        completed.fetch_add(1, Ordering::Release);
-                    }
-                    (latencies, stats, versions, hits, deadline_misses)
-                })
-            })
-            .collect();
-        let update_latency = writer
-            .join()
-            .expect("invariant: the writer thread joins cleanly (its panic propagates here)");
-        let client_results: Vec<_> = client_handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .expect("invariant: client threads join cleanly (their panics propagate here)")
-            })
-            .collect();
-        (update_latency, client_results)
-    });
-
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut distinct_versions: Vec<u64> = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut deadline_exceeded = 0u64;
-    let mut queries_executed = 0usize;
-    for (latencies, stats, versions, hits, misses) in client_results {
-        queries_executed += latencies.count();
-        for &sample in latencies.samples() {
-            query_latency.push(sample);
-        }
-        query_stats.merge(&stats);
-        distinct_versions.extend(versions);
-        cache_hits += hits;
-        deadline_exceeded += misses;
-    }
-    distinct_versions.sort_unstable();
-    distinct_versions.dedup();
+        },
+    );
 
     // The agreement check: once replication drains, every replica's
     // edge set must hash identically to the primary's — the log really
@@ -1855,55 +1547,41 @@ fn run_fleet_replicated(
         );
     }
 
-    // Recovery accounting, reported only for the chaos variant: how
-    // many respawns the run absorbed (split by starting point) and how
-    // many dispatched requests the router had to move off a dying or
-    // regressed endpoint.
-    let stats = fleet.supervisor_stats();
-    let (recoveries, restarts, failovers) = if chaos {
-        (
-            Some(stats.checkpoint_recoveries + stats.genesis_recoveries),
-            Some(fleet.registry().total_restarts()),
-            Some(fleet.failovers()),
-        )
-    } else {
-        (None, None, None)
-    };
     let faults = if chaos { " + seeded chaos" } else { "" };
-
-    ScenarioResult {
-        spec: *spec,
+    let label = format!(
+        "{label} x {replicas} replicas x {} clients{faults}",
+        pacing.clients
+    );
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset: format!(
-            "sliding_window(n={n}, window={window}) x {replicas} replicas x {clients} clients{faults}"
-        ),
-        nodes: n,
-        edges: start_edges,
-        epsilon: spec.epsilon,
-        queries_executed,
-        query_latency,
-        update_latency: Some(update_latency),
-        query_stats,
-        final_state_hash: Some(final_hash),
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: Some(distinct_versions.len() as u64),
-        cache_hits: Some(cache_hits),
-        // Scheduling-dependent (hits need no effective commit in
-        // between) — not reported, so the tight gate stays armed only
-        // where it is deterministic.
-        cache_hit_rate: None,
-        deadline_exceeded: Some(deadline_exceeded),
-        recoveries,
-        restarts,
-        failovers,
+        (label, n, start_edges),
+        &tally.latencies,
+        &tally.stats,
+        Some(&update_latency),
+    );
+    report.final_state_hash = Some(final_hash);
+    report.versions_observed = Some(tally.distinct_versions());
+    // Scheduling-dependent hit pattern: counted, never reported as a rate.
+    report.cache_hits = Some(tally.hits);
+    report.deadline_exceeded = Some(tally.deadline_misses);
+    if chaos {
+        // Recovery accounting: how many respawns the run absorbed (split
+        // by starting point) and how many dispatched requests the router
+        // had to move off a dying or regressed endpoint.
+        let stats = fleet.supervisor_stats();
+        report.recoveries = Some(stats.checkpoint_recoveries + stats.genesis_recoveries);
+        report.restarts = Some(fleet.registry().total_restarts());
+        report.failovers = Some(fleet.failovers());
     }
+    report
 }
 
 /// The result-cache benchmark: a Zipf-repeated query stream issued
 /// sequentially, so the hit pattern — and therefore `cache_hit_rate`
 /// and `total_work` — is a pure function of the seed. Cache hits add
-/// **zero** work to `query_stats` (only fresh executions are merged),
+/// **zero** work to the counters (only fresh executions are merged),
 /// which is the measurable "cached path bypasses probe work entirely"
 /// guarantee the comparator gates.
 fn run_service_cache_repeat(
@@ -1911,11 +1589,13 @@ fn run_service_cache_repeat(
     scale: Scale,
     seed: u64,
     engine: &ProbeSim,
-    distinct: usize,
-) -> ScenarioResult {
+) -> ScenarioReport {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    let ScenarioKind::ServiceCacheRepeat { distinct } = spec.kind else {
+        unreachable!("run_scenario sends only ServiceCacheRepeat here");
+    };
     let GraphSource::Dataset(dataset) = spec.graph else {
         panic!(
             "scenario {}: cache repeat requires a Dataset graph source",
@@ -1931,51 +1611,35 @@ fn run_service_cache_repeat(
         // order — deterministic by construction.
         .cache_capacity(nodes.len().max(16) * 4)
         .build(GraphStore::from_view(&graph));
-    let num_nodes = graph.num_nodes();
-    let num_edges = graph.num_edges();
+    let (num_nodes, num_edges) = (graph.num_nodes(), graph.num_edges());
     drop(graph);
 
     // Zipf-ish repetition, deterministic in the seed (shared sampler —
     // the serve-bench CLI uses the same skew).
     let zipf = probesim_eval::ZipfRanks::new(nodes.len());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
-    let mut query_latency = Latencies::new();
-    let mut query_stats = QueryStats::default();
-    let mut cache_hits = 0u64;
+    let mut tally = Tally::default();
     for _ in 0..spec.queries {
         let rank = zipf.rank(rng.gen::<f64>());
-        let response = query_latency
+        let response = tally
+            .latencies
             .time(|| service.call(Request::new(Query::SingleSource { node: nodes[rank] })))
             .expect("invariant: sampled query nodes are valid");
-        if response.cache_hit {
-            cache_hits += 1;
-        } else {
-            query_stats.merge(&response.output.stats);
-        }
+        tally.served(&response);
     }
 
-    ScenarioResult {
-        spec: *spec,
+    let mut report = ScenarioReport::new(
+        spec,
+        scale,
         seed,
-        scale_name: scale_name(scale),
-        dataset: dataset.name().to_string(),
-        nodes: num_nodes,
-        edges: num_edges,
-        epsilon: spec.epsilon,
-        queries_executed: spec.queries,
-        query_latency,
-        update_latency: None,
-        query_stats,
-        final_state_hash: None,
-        work_deterministic: spec.work_deterministic(),
-        versions_observed: None,
-        cache_hits: Some(cache_hits),
-        cache_hit_rate: Some(cache_hits as f64 / spec.queries.max(1) as f64),
-        deadline_exceeded: None,
-        recoveries: None,
-        restarts: None,
-        failovers: None,
-    }
+        (dataset.name().to_string(), num_nodes, num_edges),
+        &tally.latencies,
+        &tally.stats,
+        None,
+    );
+    report.cache_hits = Some(tally.hits);
+    report.cache_hit_rate = Some(tally.hits as f64 / spec.queries.max(1) as f64);
+    report
 }
 
 #[cfg(test)]
@@ -2036,21 +1700,21 @@ mod tests {
     #[test]
     fn static_scenario_runs_and_counts_queries() {
         let spec = find("static_top_k").unwrap();
-        let result = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.query_latency.count(), spec.queries);
-        assert!(result.query_stats.walks > 0);
-        assert!(result.update_latency.is_none());
-        assert!(result.nodes > 0 && result.edges > 0);
+        let report = run_scenario(&spec, Scale::Ci, 7);
+        assert_eq!(report.query_latency.count, spec.queries);
+        assert!(report.stat("walks") > 0);
+        assert!(report.update_latency.is_none());
+        assert!(report.nodes > 0 && report.edges > 0);
     }
 
     #[test]
     fn dynamic_scenario_interleaves_updates_and_queries() {
         let spec = find("dynamic_update_heavy").unwrap();
-        let result = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.query_latency.count(), spec.queries);
-        let updates = result.update_latency.as_ref().unwrap().count();
+        let report = run_scenario(&spec, Scale::Ci, 7);
+        assert_eq!(report.query_latency.count, spec.queries);
+        let updates = report.update_latency.unwrap().count;
         assert_eq!(updates, spec.queries * 10, "10 updates per query");
-        assert!(result.query_stats.walks > 0);
+        assert!(report.stat("walks") > 0);
     }
 
     #[test]
@@ -2058,20 +1722,20 @@ mod tests {
         let spec = find("cache_revisit_static").unwrap();
         assert_eq!(spec.kind_name(), "service");
         assert!(!spec.is_dynamic());
-        let result = run_scenario(&spec, Scale::Ci, 2017);
-        assert_eq!(result.queries_executed, spec.queries);
+        let report = run_scenario(&spec, Scale::Ci, 2017);
+        assert_eq!(report.queries, spec.queries);
         // One execution per distinct source; every revisit hits, whatever
         // the query kind.
-        assert_eq!(result.cache_hits, Some(9));
-        assert_eq!(result.cache_hit_rate, Some(0.75));
-        assert!(result.update_latency.is_none());
+        assert_eq!(report.cache_hits, Some(9));
+        assert_eq!(report.cache_hit_rate, Some(0.75));
+        assert!(report.update_latency.is_none());
         // The acceptance floor the CI contrast gate enforces: on the
         // same 12-query budget, same graph, same seed, the cached stream
         // must spend at least 30% less deterministic work than the
         // uncached fused engine.
         let fused = run_scenario(&find("probe_static_fused").unwrap(), Scale::Ci, 2017);
-        let cached_work = result.query_stats.total_work() as f64;
-        let fused_work = fused.query_stats.total_work() as f64;
+        let cached_work = report.total_work as f64;
+        let fused_work = fused.total_work as f64;
         let reduction = 100.0 * (fused_work - cached_work) / fused_work;
         assert!(
             reduction >= 30.0,
@@ -2089,8 +1753,8 @@ mod tests {
         assert_eq!(a.query_stats, b.query_stats);
         assert_eq!(a.final_state_hash, b.final_state_hash);
         assert!(a.final_state_hash.is_some());
-        assert_eq!(a.queries_executed, spec.queries);
-        assert_eq!(a.update_latency.as_ref().unwrap().count(), 3);
+        assert_eq!(a.queries, spec.queries);
+        assert_eq!(a.update_latency.unwrap().count, 3);
         // 3 sources × 3 versions execute; the other 15 visits hit.
         assert_eq!(a.cache_hits, Some(15));
     }
@@ -2101,11 +1765,10 @@ mod tests {
         let a = run_scenario(&spec, Scale::Ci, 42);
         let b = run_scenario(&spec, Scale::Ci, 42);
         assert_eq!(a.query_stats, b.query_stats);
-        assert_eq!(a.query_stats.total_work(), b.query_stats.total_work());
+        assert_eq!(a.total_work, b.total_work);
         let c = run_scenario(&spec, Scale::Ci, 43);
         assert_ne!(
-            a.query_stats.total_work(),
-            c.query_stats.total_work(),
+            a.total_work, c.total_work,
             "different seed should vary the workload"
         );
     }
@@ -2132,26 +1795,27 @@ mod tests {
         let fused = run_scenario(&find("probe_static_fused").unwrap(), Scale::Ci, 2017);
         let legacy = run_scenario(&find("probe_static_legacy").unwrap(), Scale::Ci, 2017);
         assert_eq!(
-            fused.query_stats.walks, legacy.query_stats.walks,
+            fused.stat("walks"),
+            legacy.stat("walks"),
             "identical seed => identical walks"
         );
-        let fused_work = fused.query_stats.total_work() as f64;
-        let legacy_work = legacy.query_stats.total_work() as f64;
+        let fused_work = fused.total_work as f64;
+        let legacy_work = legacy.total_work as f64;
         let reduction = 100.0 * (legacy_work - fused_work) / legacy_work;
         assert!(
             reduction >= 25.0,
             "fused total_work reduction {reduction:.1}% < 25% \
              (fused {fused_work}, legacy {legacy_work})"
         );
-        let fused_edges = fused.query_stats.edges_expanded as f64;
-        let legacy_edges = legacy.query_stats.edges_expanded as f64;
+        let fused_edges = fused.stat("edges_expanded") as f64;
+        let legacy_edges = legacy.stat("edges_expanded") as f64;
         let edge_reduction = 100.0 * (legacy_edges - fused_edges) / legacy_edges;
         assert!(
             edge_reduction >= 25.0,
             "fused edges_expanded reduction {edge_reduction:.1}% < 25%"
         );
-        assert!(fused.query_stats.frontier_merges > 0);
-        assert_eq!(legacy.query_stats.frontier_merges, 0);
+        assert!(fused.stat("frontier_merges") > 0);
+        assert_eq!(legacy.stat("frontier_merges"), 0);
     }
 
     #[test]
@@ -2173,21 +1837,21 @@ mod tests {
         assert!(spec.is_dynamic());
         assert_eq!(spec.kind_name(), "concurrent");
         assert!(!spec.work_deterministic());
-        let result = run_scenario(&spec, Scale::Ci, 7);
+        let report = run_scenario(&spec, Scale::Ci, 7);
         // Per-role latencies: one query sample per reader query, one
         // update sample per writer update.
-        assert_eq!(result.query_latency.count(), spec.queries);
-        assert_eq!(result.queries_executed, spec.queries);
-        let updates = result.update_latency.as_ref().unwrap().count();
+        assert_eq!(report.query_latency.count, spec.queries);
+        assert_eq!(report.queries, spec.queries);
+        let updates = report.update_latency.unwrap().count;
         assert_eq!(
             updates, spec.queries,
             "1:1 ratio applies one update per query"
         );
-        assert!(result.query_stats.walks > 0);
-        assert!(!result.work_deterministic);
+        assert!(report.stat("walks") > 0);
+        assert!(!report.work_deterministic);
         // Readers observed at least one published version; the writer
         // published one snapshot per update, so at most updates + 1.
-        let versions = result.versions_observed.unwrap();
+        let versions = report.versions_observed.unwrap();
         assert!(
             (1..=updates as u64 + 1).contains(&versions),
             "versions_observed = {versions}"
@@ -2195,7 +1859,7 @@ mod tests {
         // The final graph state is scheduling-independent: the writer
         // applies the whole seeded stream no matter how readers race it.
         let again = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.final_state_hash, again.final_state_hash);
+        assert_eq!(report.final_state_hash, again.final_state_hash);
     }
 
     #[test]
@@ -2210,10 +1874,10 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!((readers, updates_per_round, queries_per_round), (4, 1, 8));
-        let result = run_scenario(&spec, Scale::Ci, 11);
-        let updates = result.update_latency.as_ref().unwrap().count();
+        let report = run_scenario(&spec, Scale::Ci, 11);
+        let updates = report.update_latency.unwrap().count;
         assert_eq!(updates, spec.queries.div_ceil(8), "1:8 update:query ratio");
-        assert_eq!(result.queries_executed, spec.queries);
+        assert_eq!(report.queries, spec.queries);
     }
 
     #[test]
@@ -2231,27 +1895,26 @@ mod tests {
         assert_eq!(a.query_stats, b.query_stats);
         let hits = a.cache_hits.unwrap();
         assert!(hits > 0, "a Zipf-repeated stream must hit the cache");
-        assert_eq!(a.queries_executed, spec.queries);
+        assert_eq!(a.queries, spec.queries);
         // Zero work delta for the cached path: the run's total work
         // equals executing each *distinct served* query exactly once —
         // misses — so it is strictly below a cache-less run of the same
         // stream, and repeats contribute nothing.
         let misses = spec.queries as u64 - hits;
         assert!(misses >= 1);
-        assert!(a.query_stats.walks > 0);
+        assert!(a.stat("walks") > 0);
         // walks scale linearly with fresh executions: walks == nr *
         // misses for a fixed nr (every query is single-source on the
         // same graph/config).
         assert_eq!(
-            a.query_stats.walks % misses as usize,
+            a.stat("walks") % misses as usize,
             0,
             "walks {} not a multiple of misses {misses}",
-            a.query_stats.walks
+            a.stat("walks")
         );
         let c = run_scenario(&spec, Scale::Ci, 99);
         assert_ne!(
-            a.query_stats.total_work(),
-            c.query_stats.total_work(),
+            a.total_work, c.total_work,
             "different seed should vary the workload"
         );
     }
@@ -2262,10 +1925,10 @@ mod tests {
         assert_eq!(spec.kind_name(), "service");
         assert!(spec.is_dynamic());
         assert!(!spec.work_deterministic());
-        let result = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.queries_executed, spec.queries);
-        assert_eq!(result.query_latency.count(), spec.queries);
-        let updates = result.update_latency.as_ref().unwrap().count();
+        let report = run_scenario(&spec, Scale::Ci, 7);
+        assert_eq!(report.queries, spec.queries);
+        assert_eq!(report.query_latency.count, spec.queries);
+        let updates = report.update_latency.unwrap().count;
         assert_eq!(
             updates,
             spec.queries / 4,
@@ -2275,18 +1938,18 @@ mod tests {
         // contributed work, and every call was answered one way or the
         // other.
         let served =
-            result.cache_hits.unwrap() as usize + result.deadline_exceeded.unwrap() as usize;
+            report.cache_hits.unwrap() as usize + report.deadline_exceeded.unwrap() as usize;
         assert!(served <= spec.queries);
-        assert!(result.query_stats.walks > 0 || result.cache_hits.unwrap() > 0);
+        assert!(report.stat("walks") > 0 || report.cache_hits.unwrap() > 0);
         // Hit rate is scheduling-dependent here and must NOT be reported
         // (it would arm the tight gate on a nondeterministic signal).
-        assert_eq!(result.cache_hit_rate, None);
-        assert!(result.versions_observed.unwrap() >= 1);
+        assert_eq!(report.cache_hit_rate, None);
+        assert!(report.versions_observed.unwrap() >= 1);
         // The writer applies the whole seeded stream regardless of the
         // race, so the final graph state is deterministic.
         let again = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.final_state_hash, again.final_state_hash);
-        assert!(result.final_state_hash.is_some());
+        assert_eq!(report.final_state_hash, again.final_state_hash);
+        assert!(report.final_state_hash.is_some());
     }
 
     #[test]
@@ -2295,47 +1958,115 @@ mod tests {
         assert_eq!(spec.kind_name(), "fleet");
         assert!(spec.is_dynamic());
         assert!(!spec.work_deterministic());
-        let result = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.queries_executed, spec.queries);
-        assert_eq!(result.query_latency.count(), spec.queries);
-        let updates = result.update_latency.as_ref().unwrap().count();
+        let report = run_scenario(&spec, Scale::Ci, 7);
+        assert_eq!(report.queries, spec.queries);
+        assert_eq!(report.query_latency.count, spec.queries);
+        let updates = report.update_latency.unwrap().count;
         assert_eq!(
             updates,
             spec.queries / 4,
             "1:4 update:query ratio commits one update per four queries"
         );
-        assert!(result.query_stats.walks > 0 || result.cache_hits.unwrap() > 0);
+        assert!(report.stat("walks") > 0 || report.cache_hits.unwrap() > 0);
         // Scheduling-dependent hit pattern: never reported as a rate.
-        assert_eq!(result.cache_hit_rate, None);
-        assert!(result.versions_observed.unwrap() >= 1);
+        assert_eq!(report.cache_hit_rate, None);
+        assert!(report.versions_observed.unwrap() >= 1);
         // The writer commits the whole seeded stream through the log
         // regardless of the race, so the final fingerprint — already
         // checked replica-by-replica inside the run — is deterministic.
         let again = run_scenario(&spec, Scale::Ci, 7);
-        assert_eq!(result.final_state_hash, again.final_state_hash);
-        assert!(result.final_state_hash.is_some());
+        assert_eq!(report.final_state_hash, again.final_state_hash);
+        assert!(report.final_state_hash.is_some());
     }
 
     #[test]
     fn batch_scenarios_record_per_query_samples() {
         for name in ["batch_sequential", "batch_parallel"] {
             let spec = find(name).unwrap();
-            let result = run_scenario(&spec, Scale::Ci, 3);
-            assert_eq!(result.query_latency.count(), 5, "{name}: 5 batch reps");
+            let report = run_scenario(&spec, Scale::Ci, 3);
+            assert_eq!(report.query_latency.count, 5, "{name}: 5 batch reps");
             // One sample per batch, but every query of every rep counts
             // as executed.
-            assert_eq!(result.queries_executed, 5 * spec.queries, "{name}");
-            assert!(result.query_stats.walks > 0, "{name}");
+            assert_eq!(report.queries, 5 * spec.queries, "{name}");
+            assert!(report.stat("walks") > 0, "{name}");
         }
     }
 
     #[test]
     fn queries_executed_matches_samples_outside_batch_mode() {
         let spec = find("static_single_source").unwrap();
-        let result = run_scenario(&spec, Scale::Ci, 3);
-        assert_eq!(result.queries_executed, result.query_latency.count());
+        let report = run_scenario(&spec, Scale::Ci, 3);
+        assert_eq!(report.queries, report.query_latency.count);
         let spec = find("dynamic_churn_balanced").unwrap();
-        let result = run_scenario(&spec, Scale::Ci, 3);
-        assert_eq!(result.queries_executed, result.query_latency.count());
+        let report = run_scenario(&spec, Scale::Ci, 3);
+        assert_eq!(report.queries, report.query_latency.count);
+    }
+
+    #[test]
+    fn driver_propagates_a_client_panic_instead_of_hanging_the_writer() {
+        // Every client dies on its first request, so the writer's second
+        // update waits for progress that never comes: only the panic
+        // guard releases it.
+        let pacing = Pacing {
+            clients: 2,
+            queries: 8,
+            updates: 8,
+            updates_per_round: 1,
+            queries_per_round: 1,
+        };
+        let updates = vec![GraphUpdate::Insert { u: 0, v: 1 }; pacing.updates];
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                drive(&pacing, &updates, |_, _| {}, |_, _| panic!("client fails"))
+            });
+            done.send(outcome.is_err()).ok();
+        });
+        let panicked = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the driver returns instead of hanging the writer's pacing loop");
+        runner.join().unwrap();
+        assert!(panicked, "the client's panic propagates out of the driver");
+    }
+
+    #[test]
+    fn concurrent_runs_apply_every_update_exactly_once() {
+        // The final state must equal a sequential replay of the same
+        // stream on a plain store — a run that dropped or repeated an
+        // update would agree with itself but not with this.
+        for name in ["store_concurrent_balanced", "service_interactive_mix"] {
+            let spec = find(name).unwrap();
+            let report = run_scenario(&spec, Scale::Ci, 2017);
+            let GraphSource::SlidingWindow { n, window } = spec.graph else {
+                panic!("{name} runs on a sliding window");
+            };
+            let (clients, updates_per_round, queries_per_round) = match spec.kind {
+                ScenarioKind::StoreConcurrent {
+                    readers,
+                    updates_per_round,
+                    queries_per_round,
+                } => (readers, updates_per_round, queries_per_round),
+                ScenarioKind::ServiceInteractiveMix {
+                    clients,
+                    updates_per_round,
+                    queries_per_round,
+                } => (clients, updates_per_round, queries_per_round),
+                _ => panic!("{name} is a concurrent scenario"),
+            };
+            let queries = spec.queries.max(clients);
+            let events = (queries * updates_per_round).div_ceil(queries_per_round);
+            let (n, window) = (scaled(Scale::Ci, n), scaled(Scale::Ci, window));
+            let (graph, stream) = sliding_window_workload(n, window, events, 2017 ^ 0x5EED);
+            let mut replay = GraphStore::from_view(&graph);
+            for update in stream {
+                replay.apply(update);
+            }
+            assert_eq!(report.updates, events, "{name}");
+            assert_eq!(
+                report.final_state_hash,
+                Some(graph_state_hash(n, replay.edges_iter())),
+                "{name}"
+            );
+        }
     }
 }

@@ -101,8 +101,7 @@ fn out_emits_schema_stable_bench_json() {
 #[test]
 fn dynamic_reports_carry_update_latencies() {
     let spec = find("dynamic_read_heavy").unwrap();
-    let result = run_scenario(&spec, Scale::Ci, 5);
-    let report = ScenarioReport::from_result(&result);
+    let report = run_scenario(&spec, Scale::Ci, 5);
     let text = report.to_json().to_string();
     let value = Json::parse(&text).unwrap();
     assert_eq!(value.get("kind").and_then(Json::as_str), Some("dynamic"));

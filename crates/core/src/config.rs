@@ -214,14 +214,7 @@ impl ErrorBudget {
             // corrected coefficient (with the paper's (1+ε) concentration
             // slack), keeping the εa guarantee sound at the cost of a
             // smaller εp than the paper would use.
-            let expectation_bound = sqrt_c / ((1.0 - sqrt_c) * (1.0 - sqrt_c));
-            let kappa = if walk_cap == usize::MAX {
-                expectation_bound
-            } else {
-                let cap = walk_cap as f64;
-                expectation_bound.min(cap * (cap - 1.0) / 2.0)
-            };
-            cfg.epsilon / (4.0 * kappa.max(1.0) * (1.0 + sampling))
+            cfg.epsilon / (4.0 * pruning_coefficient(sqrt_c, walk_cap) * (1.0 + sampling))
         } else {
             0.0
         };
@@ -237,15 +230,23 @@ impl ErrorBudget {
     /// Theorem 2 inequality with the corrected pruning coefficient (see
     /// [`ErrorBudget::derive`]).
     pub fn guaranteed_error(&self, sqrt_c: f64) -> f64 {
-        let expectation_bound = sqrt_c / ((1.0 - sqrt_c) * (1.0 - sqrt_c));
-        let kappa = if self.walk_cap == usize::MAX {
-            expectation_bound
-        } else {
-            let cap = self.walk_cap as f64;
-            expectation_bound.min(cap * (cap - 1.0) / 2.0)
-        };
-        self.sampling + (1.0 + self.sampling) * kappa.max(1.0) * self.pruning + self.truncation
+        let kappa = pruning_coefficient(sqrt_c, self.walk_cap);
+        self.sampling + (1.0 + self.sampling) * kappa * self.pruning + self.truncation
     }
+}
+
+/// The corrected Theorem 2 pruning coefficient κ (see
+/// [`ErrorBudget::derive`]): the expected per-walk prefix count
+/// `√c/(1−√c)²`, capped at `ℓt(ℓt−1)/2` under truncation, floored at 1.
+fn pruning_coefficient(sqrt_c: f64, walk_cap: usize) -> f64 {
+    let expectation_bound = sqrt_c / ((1.0 - sqrt_c) * (1.0 - sqrt_c));
+    let kappa = if walk_cap == usize::MAX {
+        expectation_bound
+    } else {
+        let cap = walk_cap as f64;
+        expectation_bound.min(cap * (cap - 1.0) / 2.0)
+    };
+    kappa.max(1.0)
 }
 
 #[cfg(test)]

@@ -10,6 +10,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The default worker count: the machine's parallelism, capped at 8 (the
+/// query engine is memory-bandwidth-bound well before that).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
 /// Runs `f(&mut state, i)` for every `i in 0..len` across `threads`
 /// scoped worker threads, returning the results in index order.
 ///
@@ -58,6 +67,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_threads_is_positive() {
+        let t = default_threads();
+        assert!((1..=8).contains(&t));
+    }
 
     #[test]
     fn preserves_index_order() {

@@ -729,10 +729,7 @@ impl ProbeSim {
             validate(graph, query)?;
         }
         let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8)
+            crate::par::default_threads()
         } else {
             threads
         };

@@ -32,15 +32,6 @@ where
     probesim_core::par::ordered_map_with(queries.len(), threads, || (), |_, i| f(queries[i]))
 }
 
-/// A suggested worker count: the machine's parallelism, capped at 8 (the
-/// experiment binaries are memory-bandwidth-bound well before that).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,11 +112,5 @@ mod tests {
                 .scores
         });
         assert_eq!(borrowed, owned);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        let t = default_threads();
-        assert!((1..=8).contains(&t));
     }
 }

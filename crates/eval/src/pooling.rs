@@ -45,7 +45,7 @@ impl Pool {
         // The expert is the dominant cost of pooling (a high-precision MC
         // estimate per candidate); fan it out over the machine's cores.
         let scores =
-            crate::parallel::run_queries(&pool_nodes, crate::parallel::default_threads(), |v| {
+            crate::parallel::run_queries(&pool_nodes, probesim_core::par::default_threads(), |v| {
                 expert.pair(graph, query, v)
             });
         let expert_scores: FxHashMap<NodeId, f64> =

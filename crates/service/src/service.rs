@@ -96,10 +96,7 @@ impl ServiceBuilder {
     /// starts immediately.
     pub fn build(self, store: GraphStore) -> QueryService {
         let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8)
+            probesim_core::par::default_threads()
         } else {
             self.workers
         };
