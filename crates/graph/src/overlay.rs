@@ -12,14 +12,25 @@
 //! the hash maps: they read through a dense per-node index of their own
 //! (see [`crate::GraphSnapshot`]).
 //!
-//! The copy-on-write discipline is per node *and* per publish: snapshot
+//! The copy-on-write discipline is per node, per chunk *and* per
+//! publish. Each direction keeps its touched rows in touch order in
+//! fixed 32-row chunks, each chunk behind its own `Arc`. Snapshot
 //! publication (`freeze`, crate-internal — reached through
-//! [`crate::GraphStore::snapshot`]) clones the touched-row vectors,
-//! which hold `Arc`s of the lists, and the next mutation of a frozen
-//! list goes through [`Arc::make_mut`], which clones the `Vec` only when
-//! a snapshot still holds it. A writer that mutates the same node
-//! repeatedly between publishes therefore pays the clone once, then
-//! edits in place.
+//! [`crate::GraphStore::snapshot`]) clones only the chunk pointers:
+//! touched/32 `Arc` bumps, no row `Arc`s and no adjacency data. The
+//! next mutation of a row goes through [`Arc::make_mut`] twice: on the
+//! one chunk that holds it (copying that chunk's 32 row pointers when a
+//! snapshot still shares it), then on the row's `Vec` (copied only when
+//! a snapshot still holds the list). A writer that mutates rows of the
+//! same chunk repeatedly between publishes therefore pays each copy
+//! once, then edits in place; retiring a snapshot frees only the chunk
+//! versions that no other snapshot holds.
+//!
+//! Against one `Vec` of row `Arc`s cloned whole per publish, on a
+//! 1000-node, 6000-edge store under random toggles with 8 snapshots
+//! retained (medians, 2-vCPU VM): publish 3.3 → 0.28 µs, retiring the
+//! 9th-oldest snapshot 2.8 → 0.67 µs, and `apply` 1.05 → 1.40 µs, the
+//! price of the chunk copies.
 
 use std::sync::Arc;
 
@@ -31,10 +42,84 @@ use crate::{CsrGraph, NodeId};
 /// any published snapshots.
 pub(crate) type AdjArc = Arc<Vec<NodeId>>;
 
-/// The touched rows of one direction, in touch order: each
-/// materialized list paired with its node. A snapshot freezes these as a
-/// plain clone.
-pub(crate) type FrozenRows = Vec<(NodeId, AdjArc)>;
+/// Rows per chunk of a [`FrozenRows`] table. A publish bumps
+/// touched/`CHUNK` pointers and the first mutation of a shared chunk
+/// copies `CHUNK` row pointers, so the best size grows with the touched
+/// count. On perfbench's `commit_flood` (at most 500 touched lists) 16
+/// commits ~15% faster, and on a 1000-node store 64 costs 3.4 µs per
+/// apply + publish + retire against 32's 2.3 µs; 32 keeps publish at
+/// half of 16's cost on the far larger overlays of big graphs.
+const CHUNK: usize = 32;
+
+/// [`CHUNK`] consecutive rows, each materialized list paired with its
+/// node. A fixed array, so a read reaches its row straight from the
+/// chunk's `Arc`; slots past the table's length hold `None`.
+type Chunk = [(NodeId, Option<AdjArc>); CHUNK];
+
+/// The touched rows of one direction, in touch order, in [`CHUNK`]-row
+/// chunks behind their own `Arc`s: row `slot` lives at
+/// `chunks[slot / CHUNK][slot % CHUNK]`. A snapshot freezes these as a
+/// plain clone, which copies only the chunk pointers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrozenRows {
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
+}
+
+impl FrozenRows {
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no row has been touched.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The list in row `slot`. Panics when `slot` is past the last
+    /// chunk; a slot past `len()` inside it reads as empty.
+    #[inline]
+    pub(crate) fn row(&self, slot: usize) -> &[NodeId] {
+        let (chunk, at) = (slot / CHUNK, slot % CHUNK);
+        self.chunks[chunk][at]
+            .1
+            .as_deref()
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// `(node, list)` for every row, in touch (slot) order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> {
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .map_while(|(v, list)| Some((*v, list.as_deref()?.as_slice())))
+    }
+
+    /// Appends a row, returning its slot. Only the last chunk is
+    /// copied-on-write; a full one starts a fresh chunk.
+    fn push(&mut self, v: NodeId, list: AdjArc) -> u32 {
+        let (chunk, at) = (self.len / CHUNK, self.len % CHUNK);
+        if at == 0 {
+            self.chunks
+                .push(Arc::new(std::array::from_fn(|_| (NodeId::MAX, None))));
+        }
+        Arc::make_mut(&mut self.chunks[chunk])[at] = (v, Some(list));
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+
+    /// The mutable list in row `slot`: `Arc::make_mut` on its chunk,
+    /// then on the list, so each is copied only while a snapshot shares
+    /// it.
+    fn row_mut(&mut self, slot: u32) -> &mut Vec<NodeId> {
+        let (chunk, at) = (slot as usize / CHUNK, slot as usize % CHUNK);
+        let list = Arc::make_mut(&mut self.chunks[chunk])[at].1.as_mut();
+        Arc::make_mut(list.expect("invariant: every slot below len holds a row"))
+    }
+}
 
 /// One direction of the overlay: the touched rows and each touched
 /// node's slot among them. Rows are only ever appended; compaction
@@ -54,21 +139,21 @@ impl TouchedRows {
             return base;
         }
         match self.slot.get(&v) {
-            Some(&slot) => &self.rows[slot as usize].1,
+            Some(&slot) => self.rows.row(slot as usize),
             None => base,
         }
     }
 
     /// Materializes (on first touch, from `base`) and returns the mutable
-    /// list of `v`. `Arc::make_mut` clones the `Vec` only when a published
-    /// snapshot still shares it.
+    /// list of `v`. Chunk and `Vec` are copied only when a published
+    /// snapshot still shares them.
     fn touch(&mut self, v: NodeId, base: &[NodeId]) -> &mut Vec<NodeId> {
         let rows = &mut self.rows;
-        let slot = *self.slot.entry(v).or_insert_with(|| {
-            rows.push((v, Arc::new(base.to_vec())));
-            (rows.len() - 1) as u32
-        });
-        Arc::make_mut(&mut rows[slot as usize].1)
+        let slot = *self
+            .slot
+            .entry(v)
+            .or_insert_with(|| rows.push(v, Arc::new(base.to_vec())));
+        rows.row_mut(slot)
     }
 }
 
@@ -197,8 +282,10 @@ impl OverlayGraph {
         CsrGraph::from_edge_iter(self.num_nodes(), self.edges_iter())
     }
 
-    /// `Arc` clones of the touched rows, for snapshot publication.
-    /// O(touched) pointer bumps; no adjacency data is copied.
+    /// The touched rows, for snapshot publication: one `Arc` bump per
+    /// [`CHUNK`]-row chunk (touched/32), no row `Arc`s touched and no
+    /// adjacency data copied. 0.3 µs on perfbench's `commit_flood`
+    /// stream graph, where cloning every row `Arc` took 3.2–3.6 µs.
     pub(crate) fn freeze(&self) -> (FrozenRows, FrozenRows) {
         (self.out.rows.clone(), self.inn.rows.clone())
     }
@@ -231,6 +318,29 @@ mod tests {
     use super::*;
     use crate::Edge;
     use std::collections::BTreeSet;
+
+    impl FrozenRows {
+        /// How many of `newer`'s chunks are not shared with `self` at the
+        /// same position.
+        pub(crate) fn chunks_not_shared_with(&self, newer: &FrozenRows) -> usize {
+            newer
+                .chunks
+                .iter()
+                .enumerate()
+                .filter(|&(i, chunk)| {
+                    !self
+                        .chunks
+                        .get(i)
+                        .is_some_and(|old| Arc::ptr_eq(old, chunk))
+                })
+                .count()
+        }
+
+        /// Number of chunks.
+        pub(crate) fn num_chunks(&self) -> usize {
+            self.chunks.len()
+        }
+    }
 
     fn base() -> Arc<CsrGraph> {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -324,14 +434,14 @@ mod tests {
         let mut overlay = OverlayGraph::new(base());
         overlay.insert_edge(3, 0);
         let (out, _inn) = overlay.freeze();
-        let frozen = Arc::clone(&out.iter().find(|(v, _)| *v == 3).unwrap().1);
-        assert_eq!(frozen.as_slice(), &[0]);
-        // Mutating after the freeze clones the shared Vec (make_mut):
+        let frozen = |out: &FrozenRows| out.iter().find(|&(v, _)| v == 3).unwrap().1.to_vec();
+        assert_eq!(frozen(&out), &[0]);
+        // Mutating after the freeze clones the shared chunk and Vec
+        // (make_mut):
         overlay.insert_edge(3, 2);
         assert_eq!(overlay.out_neighbors(3), &[0, 2]);
-        assert_eq!(frozen.as_slice(), &[0], "frozen list mutated in place");
+        assert_eq!(frozen(&out), &[0], "frozen list mutated in place");
         // With the freeze dropped, further edits go in place again.
-        drop(frozen);
         drop(out);
         overlay.insert_edge(3, 1);
         assert_eq!(overlay.out_neighbors(3), &[0, 1, 2]);

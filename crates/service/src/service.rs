@@ -485,10 +485,18 @@ impl QueryService {
                 .write()
                 .expect("published slot poisoned");
             published.retained.push_back(snapshot.clone());
-            while published.retained.len() > self.retained_versions {
-                published.retained.pop_front();
-            }
+            // The ring grows by one per publish, so at most one version
+            // leaves it. Dropping it frees whatever no newer snapshot
+            // shares: do that after the guard is released, so
+            // `snapshot()` and `version()` readers never wait for it.
+            let evicted = if published.retained.len() > self.retained_versions {
+                published.retained.pop_front()
+            } else {
+                None
+            };
             published.latest = snapshot;
+            drop(published);
+            drop(evicted);
         }
         Commit {
             version,

@@ -95,19 +95,23 @@ pub trait SampleRange {
 }
 
 /// Unbiased integer draw from `[0, bound)` via Lemire's multiply-shift
-/// with rejection.
+/// with rejection, in its nearly-divisionless form: a draw is rejected
+/// iff the product's low word is below `(2^64) mod bound`, and since
+/// that threshold is below `bound`, the 64-bit division that computes it
+/// runs only when the low word is below `bound` (probability
+/// `bound / 2^64`). Accept/reject decisions, and so the stream, are the
+/// same as computing the threshold up front.
 #[inline]
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    // Threshold for rejection: (2^64) mod bound.
-    let threshold = bound.wrapping_neg() % bound;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (bound as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (bound as u128);
+    if (m as u64) < bound {
+        let threshold = bound.wrapping_neg() % bound;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128) * (bound as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 macro_rules! int_sample_range {
@@ -300,6 +304,40 @@ mod tests {
             assert!((-4..4).contains(&y));
             let f = rng.gen_range(2.0f64..3.0);
             assert!((2.0..3.0).contains(&f));
+        }
+    }
+
+    /// The eager form: the rejection threshold computed on every draw.
+    fn uniform_below_eager(rng: &mut StdRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.gen::<u64>() as u128) * (bound as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_threshold_matches_the_eager_reference() {
+        let near_2_63 = [
+            (1u64 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            (1 << 63) + (1 << 62),
+        ];
+        for bound in (1..=64).chain(near_2_63) {
+            let mut lazy = StdRng::seed_from_u64(bound);
+            let mut eager = StdRng::seed_from_u64(bound);
+            for draw in 0..100_000 {
+                assert_eq!(
+                    super::uniform_below(&mut lazy, bound),
+                    uniform_below_eager(&mut eager, bound),
+                    "bound {bound}, draw {draw}"
+                );
+            }
+            // Both consumed the same words: the streams stay in lockstep.
+            assert_eq!(lazy, eager, "bound {bound}");
         }
     }
 
