@@ -9,22 +9,26 @@
 //!
 //! The pieces:
 //!
-//! * [`UpdateLog`] — the durable, replayable record of every effective
-//!   mutation, with blocking [`LogCursor`] tailing, a checksummed,
-//!   truncation-detecting binary codec ([`encode_log`]/[`decode_log`]),
-//!   and damage-tolerant **salvage** ([`salvage_log`],
-//!   [`read_log_file_salvage`]) that recovers the longest valid prefix
-//!   of a corrupted log with a typed [`SalvageReason`] for the cut;
+//! * [`UpdateLog`] — the replayable record of every effective mutation
+//!   since the latest checkpoint, with blocking [`LogCursor`] tailing,
+//!   a checksummed, truncation-detecting binary codec
+//!   ([`encode_log`]/[`decode_log`]), and damage-tolerant **salvage**
+//!   ([`salvage_log`], [`read_log_file_salvage`]) that recovers the
+//!   longest valid prefix of a corrupted log with a typed
+//!   [`SalvageReason`] for the cut. The supervisor truncates the prefix
+//!   a checkpoint covers once every replica has applied it; a read
+//!   below the retained range is the typed [`LogTruncated`] error;
 //! * [`Checkpoint`] — a checksummed freeze of the store at an LSN, so
 //!   recovery replays only the log suffix past it instead of all of
-//!   history;
+//!   history, and the log need not keep what it covers;
 //! * [`Replica`] — a private store + service kept current by tailing
 //!   the log in LSN order, publishing its applied version through the
 //!   shared [`ReplicaRegistry`]; [`Replica::recover`] restores it from
 //!   a checkpoint in place;
-//! * a **supervisor** thread per fleet — checkpoint cadence, a progress
-//!   watchdog driving each replica's [`ReplicaHealth`], and bounded
-//!   respawn of crashed tailers ([`SupervisorStats`] counts its work);
+//! * a **supervisor** thread per fleet — checkpoint cadence and log
+//!   truncation, a progress watchdog driving each replica's
+//!   [`ReplicaHealth`], and bounded respawn of crashed tailers
+//!   ([`SupervisorStats`] counts its work);
 //! * [`FaultPlan`] — deterministic, seeded fault injection (crashes,
 //!   stalls, slow applies, corrupt reads) for chaos-testing all of the
 //!   above, reproducible from the seed alone;
@@ -77,10 +81,10 @@ pub use crate::checkpoint::{
 };
 pub use crate::log::{
     decode_log, encode_log, read_log_file, read_log_file_salvage, salvage_log, write_log_file,
-    LogCursor, LogRecord, Salvage, SalvageReason, UpdateLog,
+    LogCursor, LogRecord, LogTruncated, Salvage, SalvageReason, UpdateLog,
 };
 pub use crate::registry::{ReplicaHealth, ReplicaRegistry};
-pub use crate::replica::Replica;
+pub use crate::replica::{RecoveryError, Replica};
 pub use crate::router::{Fleet, FleetBuilder, FleetError, ReplicaStatus};
 pub use crate::supervisor::SupervisorStats;
 

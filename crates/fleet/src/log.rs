@@ -1,23 +1,38 @@
-//! The durable, replayable update log.
+//! The replayable update log.
 //!
 //! Every effective graph mutation the fleet accepts is recorded here as
-//! a [`LogRecord`] before any replica sees it. The log is the fleet's
-//! source of truth: a replica that tails it from LSN 1 and applies each
-//! record in order reconstructs the primary's exact store state, because
-//! LSNs and store versions advance in lockstep (every effective mutation
-//! bumps exactly one of each — see [`crate::Fleet::commit`]).
+//! a [`LogRecord`] before any replica sees it. LSNs and store versions
+//! advance in lockstep (every effective mutation bumps exactly one of
+//! each — see [`crate::Fleet::commit`]), so a replica restored to
+//! version *v* — from the genesis base (*v* = 0) or from a
+//! [`crate::Checkpoint`] at LSN *v* — that applies records *v + 1*, *v +
+//! 2*, … in order reconstructs the primary's exact store state.
+//!
+//! The log holds only what someone can still read. Its **retained
+//! range** runs from [`UpdateLog::first_lsn`] to [`UpdateLog::last_lsn`];
+//! [`UpdateLog::truncate_through`] drops a prefix once a checkpoint
+//! covers it and every replica has applied it (the supervisor does this
+//! on cadence). A read that reaches below the retained range — a
+//! cursor, [`UpdateLog::records_from`], a recovery whose restore point
+//! is older than the range — is the typed [`LogTruncated`] error, never
+//! a silent gap.
 //!
 //! Two halves:
 //!
-//! * an **in-memory segment** — an append-only `Vec<LogRecord>` behind a
-//!   mutex, with condvar-driven [`LogCursor`]s so tailing replicas block
-//!   on new records instead of spinning;
+//! * an **in-memory segment** — the retained updates in a ring buffer
+//!   behind a mutex, each [`LogRecord`] rebuilt from its position when
+//!   it is copied out (the LSN is implicit, so a record costs the 12
+//!   bytes of its update; truncation pops the front, so it costs what
+//!   it drops, not what it keeps), with condvar-driven [`LogCursor`]s
+//!   so tailing replicas block on new records instead of spinning;
 //! * a **binary file codec** ([`encode_log`] / [`decode_log`] and the
 //!   `*_file` wrappers) built on `probesim_graph::io`'s shared codec:
-//!   the `PSLG` header and a record count, then one checksummed frame
-//!   per record (`lsn | kind | u | v`). Decoding detects bad magic,
-//!   format drift, truncated tails, flipped bits, and LSN gaps,
-//!   reporting each as [`GraphError::Corrupt`].
+//!   the `PSLG` header and a checksummed frame holding the first LSN
+//!   and the record count, then one checksummed frame per record (`lsn
+//!   | kind | u | v`). Decoding detects bad magic, format drift,
+//!   truncated tails, flipped bits, and LSNs that do not run
+//!   contiguously from the first LSN, reporting each as
+//!   [`GraphError::Corrupt`].
 //!
 //! Strict decoding ([`decode_log`]) is all-or-nothing; **salvage**
 //! ([`salvage_log`] / [`read_log_file_salvage`]) instead recovers the
@@ -27,6 +42,7 @@
 //! temp sibling, an atomic rename and a synced directory, so neither a
 //! crash nor a power loss mid-write leaves a half-written file.
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -38,10 +54,9 @@ use probesim_graph::{GraphError, GraphUpdate};
 
 /// One logged mutation: the log sequence number and the update itself.
 ///
-/// LSNs start at 1 and are contiguous; record `lsn` is always the
-/// `lsn`-th record in the log. By the fleet's write-path construction,
-/// `lsn` also equals the store version a replica reaches after applying
-/// the record.
+/// LSNs start at 1 and are contiguous. By the fleet's write-path
+/// construction, `lsn` also equals the store version a replica reaches
+/// after applying the record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogRecord {
     /// Log sequence number (1-based, contiguous).
@@ -50,28 +65,86 @@ pub struct LogRecord {
     pub update: GraphUpdate,
 }
 
+/// A read asked for records below the log's retained range: they were
+/// truncated away after a checkpoint covered them. Recover from that
+/// checkpoint instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogTruncated {
+    /// The LSN the read started at.
+    pub requested: u64,
+    /// The oldest LSN the log still holds.
+    pub first_lsn: u64,
+}
+
+impl std::fmt::Display for LogTruncated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "log truncated: LSN {} requested, oldest retained is {}",
+            self.requested, self.first_lsn
+        )
+    }
+}
+
+impl std::error::Error for LogTruncated {}
+
 /// Magic bytes opening every serialized log: "PSLG" (ProbeSim LoG).
 const MAGIC: &[u8; 4] = b"PSLG";
 /// Bump on any incompatible layout change. Version 1 framed records
-/// with a `u32` length and a checksum that did not cover it.
-const VERSION: u32 = 2;
+/// with a `u32` length and a checksum that did not cover it; version 2
+/// had no first LSN and an unchecksummed record count.
+const VERSION: u32 = 3;
+/// Framed payload size of the range header: first LSN (8) + count (8).
+const RANGE_BYTES: usize = 16;
 /// Framed payload size of one record: lsn (8) + kind (1) + u (4) +
 /// v (4).
 const RECORD_BYTES: usize = 17;
+
+/// The retained range: `updates[i]` is the record with LSN
+/// `first_lsn + i`.
+struct Retained {
+    /// LSN of `updates[0]`; every LSN below it was truncated away.
+    first_lsn: u64,
+    updates: VecDeque<GraphUpdate>,
+}
+
+impl Retained {
+    fn last_lsn(&self) -> u64 {
+        self.first_lsn + self.updates.len() as u64 - 1
+    }
+
+    /// Every retained record with `lsn >= from_lsn`, in LSN order.
+    fn records_from(&self, from_lsn: u64) -> Result<Vec<LogRecord>, LogTruncated> {
+        let from_lsn = from_lsn.max(1);
+        if from_lsn < self.first_lsn {
+            return Err(LogTruncated {
+                requested: from_lsn,
+                first_lsn: self.first_lsn,
+            });
+        }
+        let skip = (from_lsn - self.first_lsn).min(self.updates.len() as u64) as usize;
+        Ok(self
+            .updates
+            .range(skip..)
+            .zip(from_lsn..)
+            .map(|(&update, lsn)| LogRecord { lsn, update })
+            .collect())
+    }
+}
 
 struct LogInner {
     /// Lock order: `fleet::records` may be held while acquiring the
     /// primary service's locks (the fleet's write path appends under it
     /// via [`UpdateLog::append_with`]); nothing that holds a service
     /// lock ever acquires it.
-    records: Mutex<Vec<LogRecord>>,
+    records: Mutex<Retained>,
     /// Signaled (with `records` held) after every append, waking
     /// [`LogCursor::wait_next`].
     appended: Condvar,
 }
 
-/// The shared, append-only update log. Cloning is cheap (`Arc` bump)
-/// and every clone views the same records.
+/// The shared update log. Cloning is cheap (`Arc` bump) and every clone
+/// views the same records.
 #[derive(Clone)]
 pub struct UpdateLog {
     inner: Arc<LogInner>,
@@ -86,6 +159,7 @@ impl Default for UpdateLog {
 impl std::fmt::Debug for UpdateLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdateLog")
+            .field("first_lsn", &self.first_lsn())
             .field("last_lsn", &self.last_lsn())
             .finish()
     }
@@ -94,24 +168,39 @@ impl std::fmt::Debug for UpdateLog {
 impl UpdateLog {
     /// An empty log; the first appended record gets LSN 1.
     pub fn new() -> UpdateLog {
+        UpdateLog::with_range(1, VecDeque::new())
+    }
+
+    /// A log whose retained range starts at `first_lsn` and holds
+    /// `updates` in LSN order.
+    fn with_range(first_lsn: u64, updates: VecDeque<GraphUpdate>) -> UpdateLog {
         UpdateLog {
             inner: Arc::new(LogInner {
-                records: Mutex::new(Vec::new()),
+                records: Mutex::new(Retained { first_lsn, updates }),
                 appended: Condvar::new(),
             }),
         }
     }
 
     /// A log pre-seeded with already-decoded records (replay /
-    /// recovery). The records must be contiguous from LSN 1, which
+    /// recovery). The first record's LSN starts the retained range (LSN
+    /// 1 when `records` is empty).
+    ///
+    /// # Panics
+    ///
+    /// If the LSNs are not contiguous from an LSN of at least 1, which
     /// [`decode_log`] guarantees.
     pub fn from_records(records: Vec<LogRecord>) -> UpdateLog {
-        let log = UpdateLog::new();
-        {
-            let mut guard = log.inner.records.lock().expect("log records poisoned");
-            *guard = records;
-        }
-        log
+        let first_lsn = records.first().map_or(1, |record| record.lsn);
+        assert!(
+            first_lsn >= 1 && records.iter().zip(first_lsn..).all(|(r, lsn)| r.lsn == lsn),
+            "from_records needs LSNs contiguous from at least 1"
+        );
+        UpdateLog::with_range(first_lsn, records.into_iter().map(|r| r.update).collect())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Retained> {
+        self.inner.records.lock().expect("log records poisoned")
     }
 
     /// Appends one update, assigning the next LSN. Returns the record.
@@ -131,32 +220,55 @@ impl UpdateLog {
     where
         F: FnOnce(u64) -> Option<GraphUpdate>,
     {
-        let mut records = self.inner.records.lock().expect("log records poisoned");
-        let next_lsn = records.len() as u64 + 1;
+        let mut retained = self.lock();
+        let next_lsn = retained.last_lsn() + 1;
         let update = produce(next_lsn)?;
-        let record = LogRecord {
+        retained.updates.push_back(update);
+        self.inner.appended.notify_all();
+        Some(LogRecord {
             lsn: next_lsn,
             update,
-        };
-        records.push(record);
-        self.inner.appended.notify_all();
-        Some(record)
+        })
     }
 
-    /// The LSN of the newest record (0 when empty).
+    /// The LSN of the newest record (0 when nothing was ever appended).
+    /// Truncation never lowers it.
     pub fn last_lsn(&self) -> u64 {
-        self.inner
-            .records
-            .lock()
-            .expect("log records poisoned")
-            .len() as u64
+        self.lock().last_lsn()
+    }
+
+    /// The oldest LSN the log still holds: 1 until the first
+    /// truncation, `last_lsn() + 1` when everything appended so far was
+    /// truncated away.
+    pub fn first_lsn(&self) -> u64 {
+        self.lock().first_lsn
+    }
+
+    /// Drops every record with `lsn <= through` (capped at
+    /// [`UpdateLog::last_lsn`], so the next append keeps its LSN).
+    /// Monotone and idempotent: a bound at or below the current
+    /// truncation point drops nothing. Returns how many records were
+    /// dropped.
+    ///
+    /// The caller vouches that nobody still needs the dropped records:
+    /// the supervisor truncates only through the latest checkpoint and
+    /// no further than any live replica has applied.
+    pub fn truncate_through(&self, through: u64) -> u64 {
+        let mut retained = self.lock();
+        let through = through.min(retained.last_lsn());
+        if through < retained.first_lsn {
+            return 0;
+        }
+        let dropped = through + 1 - retained.first_lsn;
+        retained.updates.drain(..dropped as usize);
+        retained.first_lsn = through + 1;
+        dropped
     }
 
     /// Copies out every record with `lsn >= from_lsn`, in LSN order.
-    pub fn records_from(&self, from_lsn: u64) -> Vec<LogRecord> {
-        let records = self.inner.records.lock().expect("log records poisoned");
-        let skip = from_lsn.saturating_sub(1).min(records.len() as u64) as usize;
-        records.iter().skip(skip).copied().collect()
+    /// Fails when `from_lsn` lies below the retained range.
+    pub fn records_from(&self, from_lsn: u64) -> Result<Vec<LogRecord>, LogTruncated> {
+        self.lock().records_from(from_lsn)
     }
 
     /// A cursor positioned at `from_lsn` (1 tails the whole log).
@@ -167,15 +279,20 @@ impl UpdateLog {
         }
     }
 
-    /// Serializes every record (see [`encode_log`]).
+    /// Serializes the retained range (see [`encode_log`]).
     pub fn encode(&self) -> Vec<u8> {
-        let records = self.inner.records.lock().expect("log records poisoned");
-        encode_log(&records)
+        let retained = self.lock();
+        let records = retained
+            .records_from(retained.first_lsn)
+            .expect("invariant: the first retained LSN is retained");
+        encode_range(retained.first_lsn, &records)
     }
 }
 
 /// A tailing read position into an [`UpdateLog`]. Each call returns the
-/// records the cursor has not yet seen, in LSN order, and advances.
+/// records the cursor has not yet seen, in LSN order, and advances. A
+/// cursor that falls below the retained range gets [`LogTruncated`]
+/// from then on.
 #[derive(Debug)]
 pub struct LogCursor {
     log: UpdateLog,
@@ -190,36 +307,44 @@ impl LogCursor {
 
     /// Returns all currently-available unseen records without blocking
     /// (empty when caught up).
-    pub fn next_batch(&mut self) -> Vec<LogRecord> {
-        let batch = self.log.records_from(self.next_lsn);
+    pub fn next_batch(&mut self) -> Result<Vec<LogRecord>, LogTruncated> {
+        let batch = self.log.records_from(self.next_lsn)?;
         self.next_lsn += batch.len() as u64;
-        batch
+        Ok(batch)
     }
 
     /// Like [`LogCursor::next_batch`], but blocks up to `timeout` for
     /// at least one new record. Returns an empty batch on timeout.
-    pub fn wait_next(&mut self, timeout: Duration) -> Vec<LogRecord> {
+    pub fn wait_next(&mut self, timeout: Duration) -> Result<Vec<LogRecord>, LogTruncated> {
         let inner = &self.log.inner;
-        let records = inner.records.lock().expect("log records poisoned");
+        let retained = inner.records.lock().expect("log records poisoned");
         let want = self.next_lsn;
-        let (records, _timed_out) = inner
+        let (retained, _timed_out) = inner
             .appended
-            .wait_timeout_while(records, timeout, |recs| (recs.len() as u64) < want)
+            .wait_timeout_while(retained, timeout, |retained| retained.last_lsn() < want)
             .expect("log records poisoned");
-        let skip = want.saturating_sub(1).min(records.len() as u64) as usize;
-        let batch: Vec<LogRecord> = records.iter().skip(skip).copied().collect();
+        let batch = retained.records_from(want)?;
         self.next_lsn += batch.len() as u64;
-        batch
+        Ok(batch)
     }
 }
 
-/// Serializes a record slice: `MAGIC | version | count`, then every
-/// record in its own checksummed frame (see [`io::put_frame`]).
+/// Serializes a record slice: `MAGIC | version`, a checksummed frame
+/// holding the first LSN and the record count, then every record in its
+/// own checksummed frame (see [`io::put_frame`]). The first record's
+/// LSN is the first LSN (1 for an empty slice).
 pub fn encode_log(records: &[LogRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + records.len() * (RECORD_BYTES + 16));
+    encode_range(records.first().map_or(1, |record| record.lsn), records)
+}
+
+fn encode_range(first_lsn: u64, records: &[LogRecord]) -> Vec<u8> {
+    // Each frame adds a length and a checksum (8 bytes each).
+    let mut buf = Vec::with_capacity(8 + (RANGE_BYTES + 16) + records.len() * (RECORD_BYTES + 16));
     io::put_header(&mut buf, MAGIC, VERSION);
-    io::put_u64(&mut buf, records.len() as u64);
     let mut payload = Vec::with_capacity(RECORD_BYTES);
+    io::put_u64(&mut payload, first_lsn);
+    io::put_u64(&mut payload, records.len() as u64);
+    io::put_frame(&mut buf, &payload);
     for record in records {
         let (u, v) = record.update.edge();
         payload.clear();
@@ -246,11 +371,12 @@ fn decode_record(mut payload: &[u8]) -> Option<LogRecord> {
     Some(LogRecord { lsn, update })
 }
 
-/// Decodes a serialized log, validating magic, format version, record
-/// framing, per-record checksums and LSN contiguity (records must run
-/// 1, 2, … without gaps). Any violation — including a log whose tail
-/// was cut off mid-record — is [`GraphError::Corrupt`]: this is
-/// [`salvage_log`] with every cut treated as fatal.
+/// Decodes a serialized log, validating magic, format version, the
+/// header frame, record framing, per-record checksums and LSN
+/// contiguity (records must run first LSN, first LSN + 1, … without
+/// gaps). Any violation — including a log whose tail was cut off
+/// mid-record — is [`GraphError::Corrupt`]: this is [`salvage_log`]
+/// with every cut treated as fatal.
 pub fn decode_log(bytes: &[u8]) -> Result<Vec<LogRecord>, GraphError> {
     let salvage = salvage_log(bytes)?;
     match salvage.cut {
@@ -299,16 +425,19 @@ impl std::fmt::Display for SalvageReason {
 /// checksummed prefix, plus why (and therefore where) the tail was cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Salvage {
-    /// The recovered prefix, contiguous from LSN 1.
+    /// The first LSN the stream's header names.
+    pub first_lsn: u64,
+    /// The recovered prefix, contiguous from `first_lsn`.
     pub records: Vec<LogRecord>,
     /// Why the tail was cut; `None` when the whole stream decoded.
     pub cut: Option<SalvageReason>,
 }
 
 impl Salvage {
-    /// LSN of the newest salvaged record (0 when nothing survived).
+    /// LSN of the newest salvaged record (`first_lsn - 1` when nothing
+    /// survived).
     pub fn last_lsn(&self) -> u64 {
-        self.records.len() as u64
+        (self.first_lsn + self.records.len() as u64).saturating_sub(1)
     }
 
     /// Whether the stream decoded end to end with nothing cut.
@@ -316,27 +445,44 @@ impl Salvage {
         self.cut.is_none()
     }
 
-    /// Seeds an [`UpdateLog`] with the salvaged prefix.
+    /// Seeds an [`UpdateLog`] with the salvaged prefix; its retained
+    /// range starts at `first_lsn` even when nothing survived.
     pub fn into_log(self) -> UpdateLog {
-        UpdateLog::from_records(self.records)
+        UpdateLog::with_range(
+            self.first_lsn,
+            self.records.into_iter().map(|r| r.update).collect(),
+        )
     }
 }
 
 /// Decodes as much of a damaged log stream as can be trusted: the
 /// longest prefix of records that frame, checksum, and chain
-/// contiguously from LSN 1. The header (magic, format version, count)
-/// must still be intact — with the header gone nothing in the stream
-/// can be trusted, and the result is a hard [`GraphError::Corrupt`]
-/// like [`decode_log`]'s. Past the header, every defect merely cuts
-/// the tail and is reported as the [`Salvage::cut`] reason.
+/// contiguously from the header's first LSN. The header (magic, format
+/// version, and the checksummed first LSN and count) must still be
+/// intact — with the header gone nothing in the stream can be trusted,
+/// and the result is a hard [`GraphError::Corrupt`] like
+/// [`decode_log`]'s. Past the header, every defect merely cuts the tail
+/// and is reported as the [`Salvage::cut`] reason.
 pub fn salvage_log(mut bytes: &[u8]) -> Result<Salvage, GraphError> {
     let bytes = &mut bytes;
     io::take_header(bytes, MAGIC, VERSION)?;
+    let mut header = io::take_frame(bytes, RANGE_BYTES)
+        .map_err(|err| GraphError::Corrupt(format!("log header {err}")))?;
+    let first_lsn =
+        io::take_u64(&mut header).expect("invariant: a verified header frame holds the first LSN");
     let count =
-        io::take_u64(bytes).ok_or_else(|| GraphError::Corrupt("truncated header".into()))?;
+        io::take_u64(&mut header).expect("invariant: a verified header frame holds the count");
+    let end = match first_lsn.checked_add(count) {
+        Some(end) if first_lsn >= 1 => end,
+        _ => {
+            return Err(GraphError::Corrupt(format!(
+                "log header names {count} records from LSN {first_lsn}"
+            )))
+        }
+    };
     let mut records = Vec::new();
     let mut cut = None;
-    for expected_lsn in 1..=count {
+    for expected_lsn in first_lsn..end {
         let payload = match io::take_frame(bytes, RECORD_BYTES) {
             Ok(payload) => payload,
             Err(err) => {
@@ -361,7 +507,11 @@ pub fn salvage_log(mut bytes: &[u8]) -> Result<Salvage, GraphError> {
     if cut.is_none() && !bytes.is_empty() {
         cut = Some(SalvageReason::TrailingBytes);
     }
-    Ok(Salvage { records, cut })
+    Ok(Salvage {
+        first_lsn,
+        records,
+        cut,
+    })
 }
 
 /// The temp sibling a durable write stages into before the atomic
@@ -455,6 +605,53 @@ mod tests {
     }
 
     #[test]
+    fn version_2_files_are_rejected_by_version() {
+        let mut buf = encode_log(&sample_records());
+        buf[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = decode_log(&buf).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("PSLG format version 2"), "{err}");
+    }
+
+    #[test]
+    fn header_names_the_first_lsn_and_records_must_run_from_it() {
+        // A suffix starting past LSN 1 round-trips with its LSNs.
+        let suffix = sample_records()
+            .into_iter()
+            .map(|r| LogRecord {
+                lsn: r.lsn + 40,
+                ..r
+            })
+            .collect::<Vec<_>>();
+        let salvage = salvage_log(&encode_log(&suffix)).unwrap();
+        assert_eq!((salvage.first_lsn, salvage.last_lsn()), (41, 43));
+        assert_eq!(salvage.records, suffix);
+
+        // Records that do not start at the header's first LSN are a gap.
+        let mut bytes = encode_log(&suffix);
+        let mut header = Vec::new();
+        io::put_u64(&mut header, 40);
+        io::put_u64(&mut header, 3);
+        let mut sealed = bytes[..8].to_vec();
+        io::put_frame(&mut sealed, &header);
+        sealed.extend_from_slice(&bytes[8 + RANGE_BYTES + 16..]);
+        let err = decode_log(&sealed).unwrap_err();
+        assert!(err.to_string().contains("LSN gap"), "{err}");
+
+        // A checksum-valid header naming LSN 0, or a range past the
+        // LSN space, is corrupt.
+        for (first, count) in [(0, 3), (u64::MAX, 3)] {
+            header.clear();
+            io::put_u64(&mut header, first);
+            io::put_u64(&mut header, count);
+            bytes.truncate(8);
+            io::put_frame(&mut bytes, &header);
+            let err = decode_log(&bytes).unwrap_err();
+            assert!(err.to_string().contains("log header names"), "{err}");
+        }
+    }
+
+    #[test]
     fn truncated_tail_is_detected() {
         let full = encode_log(&sample_records());
         // Every possible truncation point must fail — a cut-off tail
@@ -514,16 +711,16 @@ mod tests {
     fn cursor_sees_records_in_order_and_only_once() {
         let log = UpdateLog::new();
         let mut cursor = log.tail(1);
-        assert!(cursor.next_batch().is_empty());
+        assert!(cursor.next_batch().unwrap().is_empty());
         log.append(GraphUpdate::Insert { u: 0, v: 1 });
         log.append(GraphUpdate::Insert { u: 1, v: 2 });
-        let batch = cursor.next_batch();
+        let batch = cursor.next_batch().unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].lsn, 1);
         assert_eq!(batch[1].lsn, 2);
-        assert!(cursor.next_batch().is_empty());
+        assert!(cursor.next_batch().unwrap().is_empty());
         log.append(GraphUpdate::Remove { u: 0, v: 1 });
-        let batch = cursor.wait_next(Duration::from_millis(50));
+        let batch = cursor.wait_next(Duration::from_millis(50)).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].lsn, 3);
     }
@@ -534,7 +731,7 @@ mod tests {
         let tail = log.clone();
         let handle = std::thread::spawn(move || {
             let mut cursor = tail.tail(1);
-            cursor.wait_next(Duration::from_secs(10))
+            cursor.wait_next(Duration::from_secs(10)).unwrap()
         });
         // The cursor thread blocks until this append lands.
         std::thread::sleep(Duration::from_millis(10));
@@ -544,9 +741,145 @@ mod tests {
         assert_eq!(batch[0].update, GraphUpdate::Insert { u: 2, v: 3 });
     }
 
-    /// Header bytes (magic + version + count) and the framed size of
-    /// one record, used by the exhaustive salvage tests.
-    const HEADER_BYTES: usize = 16;
+    fn log_of(updates: u32) -> UpdateLog {
+        let log = UpdateLog::new();
+        for u in 0..updates {
+            log.append(GraphUpdate::Insert { u, v: u + 1 });
+        }
+        log
+    }
+
+    #[test]
+    fn truncate_through_is_monotone_and_idempotent() {
+        let log = log_of(10);
+        assert_eq!((log.first_lsn(), log.last_lsn()), (1, 10));
+        assert_eq!(log.truncate_through(0), 0);
+        assert_eq!(log.truncate_through(4), 4);
+        assert_eq!((log.first_lsn(), log.last_lsn()), (5, 10));
+        // Idempotent, and a lower bound never un-truncates.
+        assert_eq!(log.truncate_through(4), 0);
+        assert_eq!(log.truncate_through(2), 0);
+        assert_eq!(log.first_lsn(), 5);
+        // A bound past the head stops at the head.
+        assert_eq!(log.truncate_through(99), 6);
+        assert_eq!((log.first_lsn(), log.last_lsn()), (11, 10));
+        assert_eq!(log.records_from(11).unwrap(), Vec::new());
+        assert_eq!(log.truncate_through(99), 0);
+    }
+
+    #[test]
+    fn lsns_stay_right_across_a_truncation() {
+        let log = log_of(6);
+        log.truncate_through(6);
+        // The next append continues the LSN sequence, and records copied
+        // out carry their LSNs, not their positions.
+        let record = log.append(GraphUpdate::Remove { u: 0, v: 1 });
+        assert_eq!(record.lsn, 7);
+        log.append(GraphUpdate::Insert { u: 9, v: 8 });
+        log.truncate_through(3);
+        assert_eq!(
+            log.records_from(7).unwrap(),
+            vec![
+                record,
+                LogRecord {
+                    lsn: 8,
+                    update: GraphUpdate::Insert { u: 9, v: 8 }
+                }
+            ]
+        );
+        assert_eq!(log.records_from(8).unwrap()[0].lsn, 8);
+        assert_eq!(
+            log.append_with(|lsn| (lsn == 9).then_some(record.update)),
+            Some(LogRecord { lsn: 9, ..record })
+        );
+    }
+
+    #[test]
+    fn reads_below_the_retained_range_are_typed_errors() {
+        let log = log_of(8);
+        let mut early = log.tail(1);
+        let mut waiting = log.tail(3);
+        log.truncate_through(5);
+        let below = LogTruncated {
+            requested: 1,
+            first_lsn: 6,
+        };
+        assert_eq!(log.records_from(1), Err(below));
+        assert_eq!(log.records_from(0), Err(below));
+        assert_eq!(early.next_batch(), Err(below));
+        assert_eq!(
+            waiting.wait_next(Duration::from_millis(1)),
+            Err(LogTruncated {
+                requested: 3,
+                first_lsn: 6
+            })
+        );
+        // A failed read does not move the cursor.
+        assert_eq!(early.position(), 1);
+        assert!(below.to_string().contains("oldest retained is 6"));
+        // Reads inside the range still work.
+        assert_eq!(log.records_from(6).unwrap().len(), 3);
+        assert_eq!(log.tail(6).next_batch().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn cursor_keeps_working_while_the_log_is_truncated_under_it() {
+        let log = UpdateLog::new();
+        let mut appended = Vec::new();
+        let mut cursor = log.tail(1);
+        let mut seen = Vec::new();
+        // Round after round, truncate through everything the cursor has
+        // read (as the supervisor truncates through what a replica
+        // applied), append more, and read on.
+        for round in 0..50u32 {
+            for v in 0..=round % 5 {
+                appended.push(log.append(GraphUpdate::Insert { u: round, v }));
+            }
+            seen.extend(cursor.next_batch().unwrap());
+            assert_eq!(
+                log.truncate_through(cursor.position() - 1) as u32,
+                round % 5 + 1
+            );
+            assert_eq!(log.first_lsn(), cursor.position());
+        }
+        assert_eq!(seen, appended);
+
+        // A cursor blocked in `wait_next` wakes to the next record even
+        // when the log was truncated through its position meanwhile.
+        let mut blocked = log.tail(cursor.position());
+        let waiter = std::thread::spawn(move || blocked.wait_next(Duration::from_secs(10)));
+        log.truncate_through(log.last_lsn());
+        let next = log.append(GraphUpdate::Remove { u: 1, v: 2 });
+        assert_eq!(waiter.join().unwrap(), Ok(vec![next]));
+        assert_eq!(cursor.next_batch(), Ok(vec![next]));
+    }
+
+    #[test]
+    fn a_truncated_log_round_trips_with_its_range() {
+        let log = log_of(9);
+        log.truncate_through(6);
+        let salvage = salvage_log(&log.encode()).unwrap();
+        assert!(salvage.is_clean());
+        assert_eq!((salvage.first_lsn, salvage.last_lsn()), (7, 9));
+        assert_eq!(salvage.records, log.records_from(7).unwrap());
+        let restored = salvage.into_log();
+        assert_eq!((restored.first_lsn(), restored.last_lsn()), (7, 9));
+        assert_eq!(restored.append(GraphUpdate::Remove { u: 1, v: 2 }).lsn, 10);
+
+        // A fully truncated log keeps its range through the codec.
+        log.truncate_through(9);
+        let empty = salvage_log(&log.encode()).unwrap().into_log();
+        assert_eq!((empty.first_lsn(), empty.last_lsn()), (10, 9));
+        assert_eq!(
+            UpdateLog::from_records(log_of(3).records_from(2).unwrap()).first_lsn(),
+            2
+        );
+    }
+
+    /// Header bytes (magic + version + the framed first LSN and count)
+    /// and the framed size of one record, used by the exhaustive
+    /// salvage tests.
+    const HEADER_BYTES: usize = 8 + RANGE_BYTES + 16;
     const FRAME_BYTES: usize = RECORD_BYTES + 16;
 
     #[test]
@@ -598,8 +931,9 @@ mod tests {
             let mut buf = full.clone();
             buf[target] ^= 0x10;
             let result = salvage_log(&buf);
-            if target < 8 {
-                // Magic or format version: a hard error, like decode.
+            if target < HEADER_BYTES {
+                // Magic, format version, or the checksummed first LSN
+                // and count: a hard error, like decode.
                 assert!(
                     matches!(result, Err(GraphError::Corrupt(_))),
                     "flip at {target} in the header gave {result:?}"
@@ -607,18 +941,6 @@ mod tests {
                 continue;
             }
             let salvage = result.unwrap();
-            if target < HEADER_BYTES {
-                // A flipped record count still salvages a prefix of
-                // the real records (shorter count cuts TrailingBytes,
-                // longer count runs off the end of the stream).
-                assert!(
-                    records.starts_with(&salvage.records),
-                    "flip at {target} in the count salvaged non-prefix {:?}",
-                    salvage.records
-                );
-                assert!(salvage.cut.is_some(), "flip at {target} was not detected");
-                continue;
-            }
             // A flip inside record j's frame cuts exactly before j.
             let damaged = (target - HEADER_BYTES) / FRAME_BYTES;
             assert_eq!(

@@ -18,6 +18,12 @@
 //! per-incarnation applied-record counter ([`Replica::applied_records`])
 //! makes that suffix-only replay observable to tests.
 //!
+//! The log drops the prefix a checkpoint covers (see
+//! [`UpdateLog::truncate_through`]), so a restore point older than the
+//! retained range cannot be replayed from: recovery refuses it with
+//! [`RecoveryError::Truncated`], and a tailer whose cursor falls below
+//! the range exits, to be respawned from the latest checkpoint.
+//!
 //! Fault injection (crashes, stalls, slow applies, corrupt reads) is
 //! driven by the replica's [`ReplicaFaults`] schedule from the fleet's
 //! [`crate::FaultPlan`]; each scheduled fault fires once per fleet
@@ -32,17 +38,46 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use probesim_graph::{CsrGraph, GraphError, GraphStore, GraphView};
+use probesim_graph::{CsrGraph, GraphStore, GraphView};
 use probesim_service::QueryService;
 
 use crate::chaos::ReplicaFaults;
 use crate::checkpoint::Checkpoint;
-use crate::log::UpdateLog;
+use crate::log::{LogTruncated, UpdateLog};
 use crate::registry::ReplicaRegistry;
 
 /// How long the tailer blocks for new records before re-checking the
 /// shutdown flag.
 const TAIL_POLL: Duration = Duration::from_millis(5);
+
+/// Why a replica could not be recovered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// The checkpoint's node count differs from the fleet's base graph.
+    NodeCountMismatch {
+        /// Nodes in the checkpointed graph.
+        checkpoint: usize,
+        /// Nodes in the fleet's base graph.
+        base: usize,
+    },
+    /// The log no longer holds the records past the restore point (LSN
+    /// 0 for a genesis recovery): recover from a newer checkpoint.
+    Truncated(LogTruncated),
+}
+
+impl std::fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryError::NodeCountMismatch { checkpoint, base } => write!(
+                f,
+                "checkpoint has {checkpoint} nodes, fleet base has {base}"
+            ),
+            RecoveryError::Truncated(truncated) => truncated.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
 
 /// Builds one endpoint's `QueryService` over a seeded store; the fleet
 /// builder captures its service configuration in here so respawns
@@ -117,20 +152,27 @@ impl ReplicaShared {
     /// Stops the seated incarnation (if any) and seats a fresh one,
     /// restored from `checkpoint` when given, from the genesis base
     /// otherwise. The new tailer resumes tailing `log` at the first
-    /// LSN past the restored state.
+    /// LSN past the restored state, which `log` must still retain.
     pub(crate) fn respawn(
         self: &Arc<Self>,
         checkpoint: Option<&Checkpoint>,
         log: &UpdateLog,
-    ) -> Result<(), GraphError> {
+    ) -> Result<(), RecoveryError> {
         if let Some(checkpoint) = checkpoint {
             if checkpoint.num_nodes() != self.base.num_nodes() {
-                return Err(GraphError::Corrupt(format!(
-                    "checkpoint has {} nodes, fleet base has {}",
-                    checkpoint.num_nodes(),
-                    self.base.num_nodes()
-                )));
+                return Err(RecoveryError::NodeCountMismatch {
+                    checkpoint: checkpoint.num_nodes(),
+                    base: self.base.num_nodes(),
+                });
             }
+        }
+        let resume_from = checkpoint.map_or(1, |checkpoint| checkpoint.lsn() + 1);
+        let first_lsn = log.first_lsn();
+        if resume_from < first_lsn {
+            return Err(RecoveryError::Truncated(LogTruncated {
+                requested: resume_from,
+                first_lsn,
+            }));
         }
         // Stop whatever is seated. The join happens outside the seat
         // lock so a slow exit never blocks concurrent seat readers.
@@ -143,9 +185,9 @@ impl ReplicaShared {
             let _ = handle.join();
         }
         // Build the new incarnation entirely outside the seat lock.
-        let (store, resume_from) = match checkpoint {
-            Some(checkpoint) => (checkpoint.to_store(), checkpoint.lsn() + 1),
-            None => (GraphStore::from_csr(self.base.clone()), 1),
+        let store = match checkpoint {
+            Some(checkpoint) => checkpoint.to_store(),
+            None => GraphStore::from_csr(self.base.clone()),
         };
         let service = (self.factory)(store);
         self.applied_records.store(0, Ordering::Release);
@@ -168,7 +210,9 @@ impl ReplicaShared {
 }
 
 /// The tailer thread: waits for new log records, injects the scheduled
-/// faults, applies each record and publishes progress.
+/// faults, applies each record and publishes progress. It exits when
+/// its cursor falls below the log's retained range; the supervisor
+/// respawns it from the latest checkpoint.
 fn spawn_tailer(
     shared: &Arc<ReplicaShared>,
     service: Arc<QueryService>,
@@ -180,7 +224,9 @@ fn spawn_tailer(
         .name(format!("probesim-replica-{}", shared.slot))
         .spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                let batch = cursor.wait_next(TAIL_POLL);
+                let Ok(batch) = cursor.wait_next(TAIL_POLL) else {
+                    return;
+                };
                 for record in batch {
                     let faults = shared.faults;
                     if let Some((lsn, delay)) = faults.stall {
@@ -308,8 +354,9 @@ impl Replica {
     /// the next applied record produces `checkpoint.lsn() + 1` — and
     /// resumes tailing `log` at the first LSN past the checkpoint,
     /// replaying only the suffix. Fails if the checkpoint's node count
-    /// does not match the fleet's base graph.
-    pub fn recover(&self, checkpoint: &Checkpoint, log: &UpdateLog) -> Result<(), GraphError> {
+    /// does not match the fleet's base graph, or if `log` no longer
+    /// retains the records right after the checkpoint.
+    pub fn recover(&self, checkpoint: &Checkpoint, log: &UpdateLog) -> Result<(), RecoveryError> {
         self.shared.respawn(Some(checkpoint), log)
     }
 

@@ -12,9 +12,10 @@
 //!    `Consistency::AtLeastVersion(commit.version)`;
 //! 2. replicas tail the log and publish their applied versions through
 //!    the [`ReplicaRegistry`]; the supervisor checkpoints the primary
-//!    on cadence, watches replica progress (driving each slot's
-//!    [`ReplicaHealth`]) and respawns dead tailers from the latest
-//!    checkpoint under a bounded restart budget;
+//!    on cadence (truncating the log behind the checkpoint once every
+//!    replica has applied that prefix), watches replica progress
+//!    (driving each slot's [`ReplicaHealth`]) and respawns dead tailers
+//!    from the latest checkpoint under a bounded restart budget;
 //! 3. [`Fleet::call`] routes by consistency level — `Latest` to the
 //!    primary, `AtLeastVersion(v)` to any caught-up **routable**
 //!    replica (blocking on replication lag up to the request's deadline
@@ -529,8 +530,8 @@ impl Fleet {
         self.cell.latest()
     }
 
-    /// Cumulative supervisor activity: checkpoints taken and
-    /// checkpoint/genesis recoveries performed.
+    /// Cumulative supervisor activity: checkpoints taken,
+    /// checkpoint/genesis recoveries performed and log truncations.
     pub fn supervisor_stats(&self) -> SupervisorStats {
         self.counters.stats()
     }

@@ -3,11 +3,18 @@
 //!
 //! One background thread per fleet ticks over three duties:
 //!
-//! 1. **Checkpoint cadence** — when the primary has advanced
-//!    `checkpoint_every` versions past the latest retained
+//! 1. **Checkpoint cadence and log truncation** — when the primary has
+//!    advanced `checkpoint_every` versions past the latest retained
 //!    [`Checkpoint`], freeze a new one from the primary's snapshot into
 //!    the shared [`CheckpointCell`]. Recoveries start from here instead
 //!    of genesis, so restart cost is O(log suffix), not O(history).
+//!    At the end of every tick the log is truncated through the latest
+//!    checkpoint's LSN, but no further than any non-retired replica has
+//!    applied: a respawn restores the latest checkpoint and a live
+//!    tailer's cursor is past its applied LSN, so both still find every
+//!    record they will read. The log therefore holds O(cadence + lag)
+//!    records, not O(history). With the cadence disabled
+//!    (`checkpoint_every` 0) the log keeps its full history.
 //! 2. **Progress watchdog** — compare each replica's applied version
 //!    against the log head; a replica that is behind and has not
 //!    advanced for `DEGRADED_AFTER` turns [`ReplicaHealth::Degraded`],
@@ -102,6 +109,8 @@ pub struct SupervisorStats {
     pub checkpoint_recoveries: u64,
     /// Respawns started with no checkpoint, replaying from genesis.
     pub genesis_recoveries: u64,
+    /// Ticks that truncated at least one record off the update log.
+    pub log_truncations: u64,
 }
 
 #[derive(Default)]
@@ -109,6 +118,7 @@ pub(crate) struct SupervisorCounters {
     checkpoints_taken: AtomicU64,
     checkpoint_recoveries: AtomicU64,
     genesis_recoveries: AtomicU64,
+    log_truncations: AtomicU64,
 }
 
 impl SupervisorCounters {
@@ -121,6 +131,7 @@ impl SupervisorCounters {
             checkpoints_taken: self.checkpoints_taken.load(Ordering::Acquire),
             checkpoint_recoveries: self.checkpoint_recoveries.load(Ordering::Acquire),
             genesis_recoveries: self.genesis_recoveries.load(Ordering::Acquire),
+            log_truncations: self.log_truncations.load(Ordering::Acquire),
         }
     }
 }
@@ -271,5 +282,21 @@ fn supervise_tick(
             ReplicaHealth::Healthy
         };
         registry.set_health(slot, health);
+    }
+
+    // Log truncation (duty 1), after this tick's respawns have
+    // published their restore points as applied versions.
+    if config.checkpoint_every > 0 {
+        if let Some(checkpoint) = cell.latest() {
+            let through = replicas
+                .iter()
+                .zip(watch.iter())
+                .filter(|(_, state)| !state.retired)
+                .map(|(replica, _)| registry.applied(replica.slot()))
+                .fold(checkpoint.lsn(), u64::min);
+            if log.truncate_through(through) > 0 {
+                counters.log_truncations.fetch_add(1, Ordering::AcqRel);
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! and appended bytes make each decoder return `Ok` or a typed
 //! `GraphError`, never panic. The two checksummed formats, checkpoints
 //! and the update log, never strictly decode a mutated stream, and log
-//! salvage only ever keeps a prefix of the written records.
+//! salvage only ever keeps a prefix of the written records, under the
+//! first LSN the log was written with.
 
 use probesim_fleet::{
     decode_checkpoint, decode_log, encode_checkpoint, encode_log, salvage_log, Checkpoint,
@@ -41,6 +42,7 @@ proptest! {
         n in 1u32..12,
         raw_edges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..24),
         lsn in any::<u64>(),
+        first_lsn in 1u64..u64::MAX / 2,
         flips in prop::collection::vec(1u8..=255, 1..8),
         tail in prop::collection::vec(any::<u8>(), 1..10),
     ) {
@@ -48,7 +50,7 @@ proptest! {
         let graph = CsrGraph::from_edges(n as usize, &edges);
         let records: Vec<_> = edges
             .iter()
-            .zip(1..)
+            .zip(first_lsn..)
             .map(|(&(u, v), lsn)| LogRecord {
                 lsn,
                 update: [GraphUpdate::Insert { u, v }, GraphUpdate::Remove { u, v }][lsn as usize % 2],
@@ -73,9 +75,14 @@ proptest! {
         for bytes in mutations(&checkpoint, &flips, &tail) {
             prop_assert!(decode_checkpoint(&bytes).is_err(), "{bytes:?}");
         }
-        for bytes in mutations(&encode_log(&records), &flips, &tail) {
+        // `encode_log` starts an empty slice at LSN 1.
+        let header_lsn = if records.is_empty() { 1 } else { first_lsn };
+        let log = encode_log(&records);
+        prop_assert_eq!(&decode_log(&log).unwrap(), &records);
+        for bytes in mutations(&log, &flips, &tail) {
             prop_assert!(decode_log(&bytes).is_err(), "{bytes:?}");
             if let Ok(salvage) = salvage_log(&bytes) {
+                prop_assert_eq!(salvage.first_lsn, header_lsn, "{:?}", bytes);
                 prop_assert!(records.starts_with(&salvage.records), "{bytes:?}");
             }
         }

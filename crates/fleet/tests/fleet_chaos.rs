@@ -15,6 +15,7 @@ use std::time::Duration;
 use probesim_core::{ProbeSimConfig, Query, QueryOutput};
 use probesim_fleet::{
     read_checkpoint_file, write_checkpoint_file, FaultPlan, Fleet, LogRecord, ReplicaHealth,
+    UpdateLog,
 };
 use probesim_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView, NodeId};
 use probesim_service::{Consistency, Request, ServiceBuilder};
@@ -58,6 +59,27 @@ fn random_update(rng: &mut StdRng) -> GraphUpdate {
     }
 }
 
+/// The log's whole retained range, read in one piece: a supervisor
+/// truncation between reading `first_lsn` and copying out moves the
+/// range, so retry until both reads agree.
+fn retained_records(log: &UpdateLog) -> Vec<LogRecord> {
+    loop {
+        if let Ok(records) = log.records_from(log.first_lsn()) {
+            return records;
+        }
+    }
+}
+
+/// The log records this test's effective commits produced: LSN `i + 1`
+/// carries `effective[i]`.
+fn committed_records(effective: &[GraphUpdate]) -> Vec<LogRecord> {
+    effective
+        .iter()
+        .zip(1..)
+        .map(|(&update, lsn)| LogRecord { lsn, update })
+        .collect()
+}
+
 fn ranking_bits(output: &QueryOutput) -> Vec<(NodeId, u64)> {
     output
         .ranking()
@@ -66,19 +88,19 @@ fn ranking_bits(output: &QueryOutput) -> Vec<(NodeId, u64)> {
         .collect()
 }
 
-/// Replays `records` with `lsn <= version` onto a copy of the base
-/// graph and answers `query` with a fresh, identically seeded service.
+/// Replays the first `version` effective updates the test committed
+/// onto a copy of the base graph and answers `query` with a fresh, identically seeded service.
 fn scratch_answer(
     base_edges: &[(NodeId, NodeId)],
-    records: &[LogRecord],
+    effective: &[GraphUpdate],
     version: u64,
     query: Query,
     seed: u64,
 ) -> Vec<(NodeId, u64)> {
     let mut store = GraphStore::from_csr(CsrGraph::from_edges(N, base_edges));
-    for record in records.iter().filter(|r| r.lsn <= version) {
+    for &update in &effective[..version as usize] {
         assert!(
-            store.apply(record.update),
+            store.apply(update),
             "log records are effective by construction"
         );
     }
@@ -117,8 +139,13 @@ proptest! {
         // (version floor, query, bit-exact ranking) per surviving read.
         #[allow(clippy::type_complexity)] // a 3-tuple accumulator, named by the comment above
         let mut checks: Vec<(u64, Query, Vec<(NodeId, u64)>)> = Vec::new();
+        let mut effective = Vec::new();
         for round in 0..32 {
-            let commit = fleet.commit(random_update(&mut rng));
+            let update = random_update(&mut rng);
+            let commit = fleet.commit(update);
+            if commit.was_effective() {
+                effective.push(update);
+            }
             if round % 4 == 0 {
                 let query = match rng.gen_range(0u8..3) {
                     0 => Query::SingleSource { node: rng.gen_range(0..N as NodeId) },
@@ -139,6 +166,7 @@ proptest! {
 
         let final_version = fleet.version();
         prop_assert_eq!(fleet.log().last_lsn(), final_version);
+        prop_assert_eq!(effective.len() as u64, final_version);
         // Convergence: every routable replica reaches the head. With a
         // budget of 4 nothing gets retired, so this covers all three.
         prop_assert!(fleet.wait_for_replication(final_version, Duration::from_secs(30)));
@@ -167,11 +195,18 @@ proptest! {
             fleet.registry().total_restarts()
         );
 
+        // The supervisor truncates what a checkpoint covers, so the log
+        // retains a tail of history: exactly the tail of what this test
+        // committed.
+        let retained = retained_records(fleet.log());
+        let committed = committed_records(&effective);
+        prop_assert!(retained.len() <= committed.len());
+        prop_assert_eq!(&retained[..], &committed[committed.len() - retained.len()..]);
+
         // Bit-exactness survived the chaos: each response equals the
         // scratch rebuild of exactly the log prefix it claims.
-        let records = fleet.log().records_from(1);
         for (version, query, bits) in checks {
-            let scratch = scratch_answer(&base_edges, &records, version, query, seed);
+            let scratch = scratch_answer(&base_edges, &effective, version, query, seed);
             prop_assert_eq!(
                 &bits, &scratch,
                 "response at version {} diverged from its log prefix", version

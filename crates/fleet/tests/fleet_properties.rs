@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use probesim_core::{ProbeSimConfig, Query, QueryOutput};
-use probesim_fleet::{FaultPlan, Fleet, FleetError, LogRecord};
+use probesim_fleet::{FaultPlan, Fleet, FleetError, LogRecord, UpdateLog};
 use probesim_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView, NodeId};
 use probesim_service::{Consistency, Request, ServiceBuilder, ServiceError};
 use proptest::prelude::*;
@@ -69,6 +69,27 @@ fn query_kind(rng: &mut StdRng) -> Query {
     }
 }
 
+/// The log's whole retained range, read in one piece: a supervisor
+/// truncation between reading `first_lsn` and copying out moves the
+/// range, so retry until both reads agree.
+fn retained_records(log: &UpdateLog) -> Vec<LogRecord> {
+    loop {
+        if let Ok(records) = log.records_from(log.first_lsn()) {
+            return records;
+        }
+    }
+}
+
+/// The log records this test's effective commits produced: LSN `i + 1`
+/// carries `effective[i]`.
+fn committed_records(effective: &[GraphUpdate]) -> Vec<LogRecord> {
+    effective
+        .iter()
+        .zip(1..)
+        .map(|(&update, lsn)| LogRecord { lsn, update })
+        .collect()
+}
+
 fn ranking_bits(output: &QueryOutput) -> Vec<(NodeId, u64)> {
     output
         .ranking()
@@ -77,20 +98,20 @@ fn ranking_bits(output: &QueryOutput) -> Vec<(NodeId, u64)> {
         .collect()
 }
 
-/// Replays `records` with `lsn <= version` onto a copy of the base
-/// graph and answers `query` on the result with a fresh, identically
+/// Replays the first `version` effective updates the test committed
+/// onto a copy of the base graph and answers `query` on the result with a fresh, identically
 /// seeded service.
 fn scratch_answer(
     base_edges: &[(NodeId, NodeId)],
-    records: &[LogRecord],
+    effective: &[GraphUpdate],
     version: u64,
     query: Query,
     seed: u64,
 ) -> Vec<(NodeId, u64)> {
     let mut store = GraphStore::from_csr(CsrGraph::from_edges(N, base_edges));
-    for record in records.iter().filter(|r| r.lsn <= version) {
+    for &update in &effective[..version as usize] {
         assert!(
-            store.apply(record.update),
+            store.apply(update),
             "log records are effective by construction"
         );
     }
@@ -123,8 +144,13 @@ proptest! {
             .build(base);
 
         let mut checks: Vec<Check> = Vec::new();
+        let mut effective = Vec::new();
         for round in 0..32 {
-            let commit = fleet.commit(random_update(&mut rng));
+            let update = random_update(&mut rng);
+            let commit = fleet.commit(update);
+            if commit.was_effective() {
+                effective.push(update);
+            }
             if round % 4 == 0 {
                 // Read your own write: the response may never be older
                 // than the commit token just returned.
@@ -148,13 +174,21 @@ proptest! {
 
         let final_version = fleet.version();
         prop_assert_eq!(fleet.log().last_lsn(), final_version);
+        prop_assert_eq!(effective.len() as u64, final_version);
         prop_assert!(fleet.wait_for_replication(final_version, Duration::from_secs(30)));
+
+        // The log retains a tail of history (the supervisor truncates
+        // what a checkpoint covers): exactly the tail of what this test
+        // committed.
+        let retained = retained_records(fleet.log());
+        let committed = committed_records(&effective);
+        prop_assert!(retained.len() <= committed.len());
+        prop_assert_eq!(&retained[..], &committed[committed.len() - retained.len()..]);
 
         // Every response must equal the scratch rebuild of the log
         // prefix it claims, bit for bit.
-        let records = fleet.log().records_from(1);
         for (version, query, bits) in checks {
-            let scratch = scratch_answer(&base_edges, &records, version, query, seed);
+            let scratch = scratch_answer(&base_edges, &effective, version, query, seed);
             prop_assert_eq!(
                 &bits, &scratch,
                 "response at version {} diverged from its log prefix", version
@@ -308,20 +342,44 @@ fn hopelessly_lagging_replicas_produce_a_typed_error() {
 #[test]
 fn log_replay_reconstructs_the_primary_exactly() {
     let mut rng = StdRng::seed_from_u64(2017);
-    let (base, base_edges) = base_graph(&mut rng);
+    let (base, _) = base_graph(&mut rng);
     let fleet = Fleet::builder(config(2017)).replicas(1).build(base);
-    for _ in 0..40 {
+    while fleet.version() < 40 {
         fleet.commit(random_update(&mut rng));
     }
-    // Serialize, corrupt-check, decode, replay: the rebuilt store's
-    // edge set must equal the primary's snapshot bit for bit.
+    let version = fleet.version();
+    assert!(fleet.wait_for_replication(version, Duration::from_secs(30)));
+    // 40 versions pass the default 32-version cadence: the supervisor
+    // checkpoints and truncates the log behind the caught-up replica.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while fleet.log().first_lsn() == 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the log was never truncated"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Serialize, corrupt-check, decode, then replay the latest
+    // checkpoint plus the retained suffix: the rebuilt store's edge set
+    // must equal the primary's snapshot bit for bit. The log is read
+    // before the checkpoint, so the checkpoint can only be newer than
+    // the log's truncation point.
     let encoded = fleet.log().encode();
     let decoded = probesim_fleet::decode_log(&encoded).expect("round trip");
-    assert_eq!(decoded.len() as u64, fleet.version());
-    let mut rebuilt = GraphStore::from_csr(CsrGraph::from_edges(N, &base_edges));
-    for record in &decoded {
+    let checkpoint = fleet
+        .latest_checkpoint()
+        .expect("truncation follows a checkpoint");
+    let first_lsn = decoded.first().map_or(version + 1, |record| record.lsn);
+    assert!(first_lsn > 1 && first_lsn <= checkpoint.lsn() + 1);
+    assert_eq!(decoded.len() as u64, version + 1 - first_lsn);
+    let mut rebuilt = checkpoint.to_store();
+    for record in decoded
+        .iter()
+        .filter(|record| record.lsn > checkpoint.lsn())
+    {
         assert!(rebuilt.apply(record.update));
     }
+    assert_eq!(rebuilt.version(), version);
     let mut replayed: Vec<_> = rebuilt.snapshot().edges_iter().collect();
     let mut primary: Vec<_> = fleet.primary().snapshot().edges_iter().collect();
     replayed.sort_unstable();

@@ -651,8 +651,9 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
     ];
     // Fleet mode appends a `fleet` object: per-endpoint health,
     // restart counts and last-salvage LSNs from the registry-backed
-    // status snapshot, plus the supervisor's cumulative recovery
-    // counters and the router's failover count.
+    // status snapshot, plus the supervisor's cumulative recovery and
+    // truncation counters, the update log's retained LSN range and the
+    // router's failover count.
     if let Serving::Fleet(fleet) = &serving {
         let supervisor = fleet.supervisor_stats();
         let endpoints = fleet
@@ -687,6 +688,9 @@ fn serve_bench(args: &[String]) -> Result<(), String> {
                     "genesis_recoveries",
                     Json::UInt(supervisor.genesis_recoveries),
                 ),
+                ("log_truncations", Json::UInt(supervisor.log_truncations)),
+                ("log_first_lsn", Json::UInt(fleet.log().first_lsn())),
+                ("log_last_lsn", Json::UInt(fleet.log().last_lsn())),
                 ("endpoints", Json::Arr(endpoints)),
             ]),
         ));
