@@ -14,9 +14,11 @@
 //! in plain atomics so the hot read path ([`ReplicaRegistry::applied`],
 //! [`ReplicaRegistry::newest_applied`], [`ReplicaRegistry::health`]) is
 //! a cheap snapshot read with no lock traffic. The `registry` mutex
-//! guards nothing but the condvar handshake: publishers store the
-//! atomic first, then take the mutex to notify, so a waiter that checks
-//! the predicate under the mutex can never miss a wakeup.
+//! guards nothing but the condvar handshake and the count of blocked
+//! waiters: publishers store the atomic first, then take the mutex and
+//! notify only when that count is above 0, so a waiter that counts
+//! itself and checks the predicate under the mutex can never miss a
+//! wakeup, and a publish with nobody waiting makes no wake syscall.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -86,12 +88,15 @@ struct Slot {
 
 struct RegistryInner {
     slots: Vec<Slot>,
+    /// The number of threads blocked on `caught_up`.
+    ///
     /// Lock order: `fleet::registry` is a leaf — it is never held
     /// across any other acquisition (publish and wait both take it
     /// alone).
-    registry: Mutex<()>,
-    /// Signaled (with `registry` held) after every publish and every
-    /// health transition.
+    registry: Mutex<usize>,
+    /// Signaled (with `registry` held) after a publish, restart,
+    /// salvage or health transition while some waiter is counted in
+    /// `registry`.
     caught_up: Condvar,
 }
 
@@ -126,7 +131,7 @@ impl ReplicaRegistry {
                         salvage: AtomicU64::new(0),
                     })
                     .collect(),
-                registry: Mutex::new(()),
+                registry: Mutex::new(0),
                 caught_up: Condvar::new(),
             }),
         }
@@ -139,12 +144,15 @@ impl ReplicaRegistry {
             .expect("invariant: replica slot within registry capacity")
     }
 
-    /// Wakes every waiter. Called after any atomic publish; taking the
-    /// mutex after the store orders the publish before any predicate
-    /// check a waiter performs under the same mutex.
+    /// Wakes every waiter, if there is one. Called after any atomic
+    /// publish; taking the mutex after the store orders the publish
+    /// before any predicate check a waiter performs under the same
+    /// mutex, and a waiter counts itself under it before that check.
     fn notify(&self) {
-        let _guard = self.inner.registry.lock().expect("registry poisoned");
-        self.inner.caught_up.notify_all();
+        let waiters = self.inner.registry.lock().expect("registry poisoned");
+        if *waiters > 0 {
+            self.inner.caught_up.notify_all();
+        }
     }
 
     /// Number of replica slots.
@@ -279,24 +287,29 @@ impl ReplicaRegistry {
         if timeout.is_zero() {
             return;
         }
-        let guard = self.inner.registry.lock().expect("registry poisoned");
-        let _ = self
+        let mut waiters = self.inner.registry.lock().expect("registry poisoned");
+        *waiters += 1;
+        let (mut waiters, _timed_out) = self
             .inner
             .caught_up
-            .wait_timeout(guard, timeout)
+            .wait_timeout(waiters, timeout)
             .expect("registry poisoned");
+        *waiters -= 1;
     }
 
     fn wait_until<F: Fn() -> bool>(&self, timeout: Duration, reached: F) -> bool {
         if reached() {
             return true;
         }
-        let guard = self.inner.registry.lock().expect("registry poisoned");
-        let (_guard, _timed_out) = self
+        let mut waiters = self.inner.registry.lock().expect("registry poisoned");
+        *waiters += 1;
+        let (mut waiters, _timed_out) = self
             .inner
             .caught_up
-            .wait_timeout_while(guard, timeout, |()| !reached())
+            .wait_timeout_while(waiters, timeout, |_| !reached())
             .expect("registry poisoned");
+        *waiters -= 1;
+        drop(waiters);
         reached()
     }
 }
@@ -384,6 +397,79 @@ mod tests {
         // Lifting the quarantine must wake the blocked router retry.
         registry.set_health(0, ReplicaHealth::Healthy);
         assert!(handle.join().unwrap());
+    }
+
+    /// Ping-pong rounds between a waiter thread and this one: each
+    /// round's `signal` must wake the waiter's `wait` (30 s) within 1 s.
+    /// With `until_blocked`, every signal waits until the waiter is
+    /// counted as blocked (a predicate-free wait misses earlier events
+    /// by design); without it, signals alternate between racing the
+    /// waiter's re-lock and landing after a pause that lets it block.
+    fn ping_pong<W, S>(until_blocked: bool, wait: W, signal: S)
+    where
+        W: Fn(&ReplicaRegistry, u64) + Send + 'static,
+        S: Fn(&ReplicaRegistry, u64),
+    {
+        const ROUNDS: u64 = 200;
+        let registry = ReplicaRegistry::new(2);
+        let (seen, recv) = std::sync::mpsc::channel();
+        let waiter = registry.clone();
+        let handle = std::thread::spawn(move || {
+            for round in 1..=ROUNDS {
+                wait(&waiter, round);
+                seen.send(round).unwrap();
+            }
+        });
+        let waiters = || *registry.inner.registry.lock().unwrap();
+        for round in 1..=ROUNDS {
+            if until_blocked {
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while waiters() == 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "round {round}: the waiter never blocked"
+                    );
+                    std::thread::yield_now();
+                }
+            } else if round % 2 == 0 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            signal(&registry, round);
+            assert_eq!(
+                recv.recv_timeout(Duration::from_secs(1)),
+                Ok(round),
+                "round {round}: the signal did not wake the waiter"
+            );
+        }
+        handle.join().unwrap();
+        assert_eq!(waiters(), 0);
+    }
+
+    #[test]
+    fn routable_wait_never_loses_a_wake_up() {
+        ping_pong(
+            false,
+            |registry, round| {
+                assert!(registry.wait_for_any_routable_at_least(round, Duration::from_secs(30)));
+            },
+            |registry, round| registry.publish_applied(1, round),
+        );
+    }
+
+    #[test]
+    fn event_wait_never_loses_a_wake_up() {
+        ping_pong(
+            true,
+            |registry, _| registry.wait_for_event(Duration::from_secs(30)),
+            |registry, round| {
+                let health = if round % 2 == 0 {
+                    ReplicaHealth::Healthy
+                } else {
+                    ReplicaHealth::Degraded
+                };
+                registry.set_health(0, health);
+            },
+        );
     }
 
     #[test]

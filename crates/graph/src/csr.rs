@@ -4,10 +4,12 @@
 //! follow *in*-edges, while ProbeSim's PROBE traversal and TSF's reversed
 //! one-way graphs follow *out*-edges, so both must be O(1)-indexable.
 //! Neighbor lists are sorted, enabling `has_edge` by binary search and
-//! deterministic iteration order. Construction is a two-pass counting
-//! sort over any re-iterable edge source ([`CsrGraph::from_edge_iter`]),
-//! which is how compaction and snapshot rebuilds stream the overlay's
-//! edges into a fresh base without an intermediate edge list.
+//! deterministic iteration order. There are two constructors: a two-pass
+//! counting sort over any re-iterable edge source
+//! ([`CsrGraph::from_edge_iter`]), for unsorted edge lists, and a
+//! linear fold of a [`GraphView`]'s already-sorted rows
+//! ([`CsrGraph::from_view`]), which is how compaction and snapshot
+//! rebuilds turn the overlay into a fresh base.
 
 use crate::view::GraphView;
 use crate::{Edge, NodeId};
@@ -52,8 +54,9 @@ impl CsrGraph {
 
     /// Builds a graph with `n` nodes from any re-iterable edge source,
     /// without materializing an intermediate `Vec<Edge>` — the
-    /// constructor behind [`CsrGraph::from_edges`] and
-    /// [`crate::OverlayGraph::snapshot`].
+    /// constructor behind [`CsrGraph::from_edges`] and the loaders. A
+    /// source that is already a [`GraphView`] folds faster through
+    /// [`CsrGraph::from_view`].
     ///
     /// The iterator is consumed twice (degree-counting pass, then fill
     /// pass), so it must be `Clone` and yield the same edges both times.
@@ -98,6 +101,39 @@ impl CsrGraph {
             out_targets[out_offsets[v]..out_offsets[v + 1]].sort_unstable();
             in_sources[in_offsets[v]..in_offsets[v + 1]].sort_unstable();
         }
+        CsrGraph {
+            num_nodes: n,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        }
+    }
+
+    /// The CSR copy of `graph`: each node's out-row is appended to the
+    /// out lane and its in-row to the in lane, offsets recorded as it
+    /// goes. By the [`GraphView`] contract both rows are already sorted
+    /// and deduplicated, so there is no counting pass, scatter or
+    /// per-row sort, and the result is `==` to
+    /// [`CsrGraph::from_edge_iter`] over `graph.edges_iter()`. This is
+    /// the fold behind compaction ([`crate::OverlayGraph::snapshot`]),
+    /// [`crate::GraphSnapshot::to_csr`] and
+    /// [`crate::GraphStore::from_view`].
+    pub fn from_view<G: GraphView>(graph: &G) -> Self {
+        let (n, m) = (graph.num_nodes(), graph.num_edges());
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_targets = Vec::with_capacity(m);
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut in_sources = Vec::with_capacity(m);
+        out_offsets.push(0);
+        in_offsets.push(0);
+        for v in graph.nodes() {
+            out_targets.extend_from_slice(graph.out_neighbors(v));
+            out_offsets.push(out_targets.len());
+            in_sources.extend_from_slice(graph.in_neighbors(v));
+            in_offsets.push(in_sources.len());
+        }
+        debug_assert_eq!((out_targets.len(), in_sources.len()), (m, m));
         CsrGraph {
             num_nodes: n,
             out_offsets,
@@ -223,6 +259,16 @@ mod tests {
         assert_eq!(g.edges(), edges);
         let g2 = CsrGraph::from_edges(4, &g.edges());
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn from_view_copies_a_csr_exactly() {
+        let g = CsrGraph::from_edges(5, &[(3, 0), (0, 2), (0, 1), (4, 0), (2, 1)]);
+        assert_eq!(CsrGraph::from_view(&g), g);
+        assert_eq!(
+            CsrGraph::from_view(&CsrGraph::from_edges(0, &[])).num_nodes(),
+            0
+        );
     }
 
     #[test]

@@ -275,11 +275,12 @@ impl OverlayGraph {
         true
     }
 
-    /// An immutable CSR copy of the current edge set, streamed straight
-    /// from the adjacency into the CSR builder — no intermediate edge
-    /// `Vec`. Compaction folds the overlay through this.
+    /// An immutable CSR copy of the current edge set: every row, touched
+    /// or base, concatenated in node order by [`CsrGraph::from_view`]
+    /// (rows are sorted already, so nothing is sorted again).
+    /// Compaction folds the overlay through this.
     pub fn snapshot(&self) -> CsrGraph {
-        CsrGraph::from_edge_iter(self.num_nodes(), self.edges_iter())
+        CsrGraph::from_view(self)
     }
 
     /// The touched rows, for snapshot publication: one `Arc` bump per

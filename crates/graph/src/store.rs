@@ -19,11 +19,12 @@
 //! * when the touched fraction of the overlay crosses the
 //!   [`CompactionPolicy`] threshold, [`GraphStore::apply`] runs
 //!   [`GraphStore::compact`] inline, on the writer, which folds the
-//!   overlay into a fresh CSR base through the
-//!   [`CsrGraph::from_edge_iter`] streaming path. Compaction changes the
-//!   representation, never the logical graph: published snapshots keep
-//!   their old `Arc`s and the store's [version](GraphStore::version) is
-//!   unchanged, so a reader cannot tell a compaction happened.
+//!   overlay into a fresh CSR base with [`CsrGraph::from_view`]: every
+//!   row, already sorted, is copied once in node order, O(n + m) with no
+//!   sort. Compaction changes the representation, never the logical
+//!   graph: published snapshots keep their old `Arc`s and the store's
+//!   [version](GraphStore::version) is unchanged, so a reader cannot
+//!   tell a compaction happened.
 //!
 //! The version is bumped on every *effective* mutation (an insert of a
 //! present edge or a removal of an absent one is a no-op), so two
@@ -269,13 +270,10 @@ impl GraphStore {
     }
 
     /// Promotes any [`GraphView`] (a [`CsrGraph`], an [`OverlayGraph`],
-    /// a [`GraphSnapshot`], …) to a store by streaming its adjacency into
-    /// a fresh CSR base — no intermediate edge `Vec`.
+    /// a [`GraphSnapshot`], …) to a store by folding its rows into a
+    /// fresh CSR base ([`CsrGraph::from_view`]).
     pub fn from_view<G: GraphView>(graph: &G) -> Self {
-        Self::from_csr(CsrGraph::from_edge_iter(
-            graph.num_nodes(),
-            graph.edges_iter(),
-        ))
+        Self::from_csr(CsrGraph::from_view(graph))
     }
 
     /// Replaces the compaction policy.
@@ -532,10 +530,11 @@ impl GraphSnapshot {
         self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Materializes this snapshot as a standalone [`CsrGraph`] (the
-    /// scratch-rebuild the isolation tests compare against).
+    /// Materializes this snapshot as a standalone [`CsrGraph`] by
+    /// folding its rows ([`CsrGraph::from_view`]): checkpoint restores
+    /// and replica respawns build their base through this.
     pub fn to_csr(&self) -> CsrGraph {
-        CsrGraph::from_edge_iter(self.num_nodes(), self.edges_iter())
+        CsrGraph::from_view(self)
     }
 }
 

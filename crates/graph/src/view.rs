@@ -56,12 +56,13 @@ pub trait GraphView {
 
     /// Iterates all edges in `(source, target)` order, sorted by source
     /// then target (adjacency lists are sorted by contract), without
-    /// allocating. Re-iterable (`Clone`), so it feeds
-    /// [`crate::CsrGraph::from_edge_iter`]'s two passes directly — the
-    /// one edge-streaming path shared by compaction, snapshot rebuilds
-    /// and the workload fingerprints. (Concrete graph types may shadow
-    /// this with an equivalent inherent method; the contract is the
-    /// same.)
+    /// allocating. Re-iterable (`Clone`), so it can feed
+    /// [`crate::CsrGraph::from_edge_iter`]'s two passes; the workload
+    /// fingerprints and edge-set hashes stream through it. Rebuilding a
+    /// CSR from a view is cheaper through
+    /// [`crate::CsrGraph::from_view`], which copies the sorted rows
+    /// instead. (Concrete graph types may shadow this with an
+    /// equivalent inherent method; the contract is the same.)
     fn edges_iter(&self) -> impl Iterator<Item = Edge> + Clone + '_ {
         (0..self.num_nodes() as NodeId)
             .flat_map(|u| self.out_neighbors(u).iter().map(move |&v| (u, v)))

@@ -2,7 +2,11 @@
 //! arbitrary update sequences, builder normalization laws, and I/O
 //! round-trips.
 
-use probesim_graph::{io, CompactionPolicy, CsrGraph, GraphBuilder, GraphStore, GraphView, NodeId};
+use std::collections::BTreeSet;
+
+use probesim_graph::{
+    io, CompactionPolicy, CsrGraph, GraphBuilder, GraphStore, GraphUpdate, GraphView, NodeId,
+};
 use proptest::prelude::*;
 
 /// An arbitrary sequence of edge operations on a fixed node range.
@@ -25,8 +29,105 @@ fn arb_ops(n: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// The CSR a from-scratch build of `model` gives: what every fold
+/// must equal, offsets included.
+fn csr_of(n: usize, model: &BTreeSet<(NodeId, NodeId)>) -> CsrGraph {
+    CsrGraph::from_edge_iter(n, model.iter().copied())
+}
+
+/// Applies `update` to the store and the model alike.
+fn apply_both(store: &mut GraphStore, model: &mut BTreeSet<(NodeId, NodeId)>, update: GraphUpdate) {
+    let effective = if update.is_insert() {
+        model.insert(update.edge())
+    } else {
+        model.remove(&update.edge())
+    };
+    assert_eq!(store.apply(update), effective, "{update:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Compaction's linear fold equals a from-scratch counting-sort
+    /// build, as whole structs: the base after every compaction, every
+    /// snapshot's `to_csr()` (including snapshots over a base that was
+    /// folded away after they were taken) and `GraphStore::from_view`.
+    /// The stream runs from a random base (self-loops allowed) under an
+    /// aggressive policy; the tail empties every row by removals, and a
+    /// second store folds an overlay with all `2n` rows touched and one
+    /// with none.
+    #[test]
+    fn compaction_fold_equals_a_scratch_build(
+        base in prop::collection::vec((0u32..10, 0u32..10), 0..40),
+        ops in arb_ops(10, 150),
+    ) {
+        let n = 10usize;
+        let mut model: BTreeSet<(NodeId, NodeId)> = base.into_iter().collect();
+        let initial = csr_of(n, &model);
+        let promoted = GraphStore::from_view(&initial);
+        prop_assert_eq!(promoted.base().as_ref(), &initial);
+        let mut store = GraphStore::from_csr(initial).with_policy(CompactionPolicy {
+            max_touched_fraction: 0.1,
+            min_touched_lists: 3,
+        });
+        let mut taken = Vec::new();
+        let step = |store: &mut GraphStore, model: &mut BTreeSet<_>, update, taken: &mut Vec<_>| {
+            let before = store.compactions();
+            apply_both(store, model, update);
+            if store.compactions() > before {
+                prop_assert_eq!(store.base().as_ref(), &csr_of(n, model));
+                prop_assert_eq!(store.touched_lists(), 0);
+            }
+            if taken.len() < 12 && store.touched_lists() > 0 {
+                taken.push((store.snapshot(), csr_of(n, model)));
+            }
+            Ok(())
+        };
+        for op in &ops {
+            let update = match *op {
+                Op::Insert(u, v) => GraphUpdate::Insert { u, v },
+                Op::Remove(u, v) => GraphUpdate::Remove { u, v },
+            };
+            step(&mut store, &mut model, update, &mut taken)?;
+        }
+        // Empty every row through removals, folding on the way.
+        let edges: Vec<_> = model.iter().copied().collect();
+        for (u, v) in edges {
+            step(&mut store, &mut model, GraphUpdate::Remove { u, v }, &mut taken)?;
+        }
+        store.compact();
+        prop_assert_eq!(store.base().as_ref(), &csr_of(n, &model));
+        prop_assert_eq!(store.num_edges(), 0);
+        for (snapshot, expect) in &taken {
+            prop_assert_eq!(&snapshot.to_csr(), expect);
+            let promoted = GraphStore::from_view(snapshot);
+            prop_assert_eq!(promoted.base().as_ref(), expect);
+        }
+
+        // Every one of the 2n rows touched, then folded: toggling the
+        // ring edge v -> v + 1 touches out-row v and in-row v + 1.
+        let start = csr_of(n, &model);
+        let mut full = GraphStore::from_csr(start.clone()).with_policy(CompactionPolicy::disabled());
+        // An overlay with no touched rows folds to its base.
+        prop_assert_eq!(&full.snapshot().to_csr(), &start);
+        prop_assert!(!full.compact());
+        for v in 0..n as NodeId {
+            let ring = (v, (v + 1) % n as NodeId);
+            let update = if model.contains(&ring) {
+                GraphUpdate::Remove { u: ring.0, v: ring.1 }
+            } else {
+                GraphUpdate::Insert { u: ring.0, v: ring.1 }
+            };
+            apply_both(&mut full, &mut model, update);
+        }
+        prop_assert_eq!(full.touched_lists(), 2 * n);
+        let expect = csr_of(n, &model);
+        let snapshot = full.snapshot();
+        prop_assert!(full.compact());
+        prop_assert_eq!(full.base().as_ref(), &expect);
+        prop_assert_eq!(&snapshot.to_csr(), &expect);
+        prop_assert_eq!(&full.snapshot().to_csr(), &expect);
+    }
 
     /// A GraphStore under any op sequence equals a reference
     /// set-of-edges model, and its snapshot equals a CSR built from the
