@@ -30,6 +30,8 @@
 //! it runs on a fresh engine, a reused session, or any thread of a
 //! parallel batch.
 
+use std::sync::Arc;
+
 use probesim_graph::{GraphView, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,12 +233,18 @@ pub fn validate<G: GraphView>(graph: &G, query: &Query) -> Result<(), QueryError
 /// Entries are sorted by node id; [`SparseScores::score`] is a binary
 /// search. [`SparseScores::to_dense`] reproduces the legacy dense vector
 /// bit-for-bit.
+///
+/// The entries are immutable and shared: cloning a `SparseScores` bumps
+/// a reference count and copies no score, so one execution's scores can
+/// answer several query kinds (the service's result cache rewraps a
+/// cached run under each request's query this way). Equality compares
+/// the entries, not their allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseScores {
     query: NodeId,
     num_nodes: usize,
     /// Accumulated scores, sorted by node id, query node excluded.
-    entries: Vec<(NodeId, f64)>,
+    entries: Arc<[(NodeId, f64)]>,
 }
 
 impl SparseScores {
@@ -245,7 +253,7 @@ impl SparseScores {
         SparseScores {
             query,
             num_nodes,
-            entries,
+            entries: entries.into(),
         }
     }
 
@@ -342,7 +350,7 @@ impl SparseScores {
     /// original dense pipeline produced.
     pub fn to_dense(&self) -> Vec<f64> {
         let mut dense = vec![0.0; self.num_nodes];
-        for &(v, score) in &self.entries {
+        for &(v, score) in self.entries.iter() {
             dense[v as usize] = score;
         }
         dense[self.query as usize] = 1.0;
@@ -758,6 +766,18 @@ mod tests {
 
     fn engine(epsilon: f64) -> ProbeSim {
         ProbeSim::new(ProbeSimConfig::new(TOY_DECAY, epsilon, 0.01).with_seed(0xBEEF))
+    }
+
+    #[test]
+    fn sparse_scores_clones_share_their_entries() {
+        let output = engine(0.05)
+            .session(&toy_graph())
+            .run(Query::SingleSource { node: A })
+            .unwrap();
+        let copy = output.scores.clone();
+        assert!(Arc::ptr_eq(&copy.entries, &output.scores.entries));
+        assert_eq!(copy, output.scores);
+        assert!(!copy.is_empty());
     }
 
     #[test]

@@ -745,14 +745,20 @@ mod tests {
     fn wait_next_wakes_on_append() {
         let log = UpdateLog::new();
         let tail = log.clone();
+        let (seen, recv) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
             let mut cursor = tail.tail(1);
-            cursor.wait_next(Duration::from_secs(10)).unwrap()
+            seen.send(cursor.wait_next(Duration::from_secs(30)).unwrap())
+                .unwrap();
         });
-        // The cursor thread blocks until this append lands.
+        // The cursor thread blocks until this append lands; the append
+        // must wake it, long before its 30 s wait would time out.
         std::thread::sleep(Duration::from_millis(10));
         log.append(GraphUpdate::Insert { u: 2, v: 3 });
-        let batch = handle.join().unwrap();
+        let batch = recv
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the append did not wake the cursor within 1 s");
+        handle.join().unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].update, GraphUpdate::Insert { u: 2, v: 3 });
     }

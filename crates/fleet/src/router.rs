@@ -352,7 +352,7 @@ impl Fleet {
     /// Routes `request` by its consistency level and answers it.
     pub fn call(&self, request: Request) -> Result<Response, FleetError> {
         match request.consistency {
-            Consistency::Latest => self.dispatch(&[Arc::clone(&self.primary)], request),
+            Consistency::Latest => self.dispatch(&self.primary, request),
             Consistency::AtLeastVersion(version) => self.call_at_least(version, request),
             Consistency::Pinned(version) => self.call_pinned(version, request),
         }
@@ -390,16 +390,10 @@ impl Fleet {
                     newest_applied: self.registry.newest_applied(),
                 });
             }
-            let eligible: Vec<Arc<QueryService>> = self
-                .replicas
-                .iter()
-                .filter(|replica| {
-                    self.registry.health(replica.slot()).is_routable()
-                        && self.registry.applied(replica.slot()) >= version
-                })
-                .map(Replica::service)
-                .collect();
-            if eligible.is_empty() {
+            let least_loaded = self
+                .caught_up(version)
+                .min_by_key(|service| service.queue_depth());
+            let Some(service) = least_loaded else {
                 // Health or progress flipped between the wait and the
                 // scan; re-wait unless the budget is gone.
                 if budget.saturating_sub(started.elapsed()).is_zero() {
@@ -409,12 +403,12 @@ impl Fleet {
                     });
                 }
                 continue;
-            }
+            };
             let forwarded = match request.deadline {
                 Some(deadline) => request.with_deadline(deadline.saturating_sub(started.elapsed())),
                 None => request,
             };
-            match self.dispatch(&eligible, forwarded) {
+            match self.dispatch(&service, forwarded) {
                 Err(err) if Self::failover_worthy(&err) => {
                     self.failovers.fetch_add(1, Ordering::AcqRel);
                     let remaining = budget.saturating_sub(started.elapsed());
@@ -433,24 +427,18 @@ impl Fleet {
     }
 
     fn call_pinned(&self, version: u64, request: Request) -> Result<Response, FleetError> {
-        let eligible: Vec<Arc<QueryService>> = self
-            .replicas
-            .iter()
-            .filter(|replica| {
-                self.registry.health(replica.slot()).is_routable()
-                    && self.registry.applied(replica.slot()) >= version
-            })
-            .map(Replica::service)
+        let least_loaded = self
+            .caught_up(version)
             .filter(|service| service.oldest_retained_version() <= version)
-            .collect();
-        if eligible.is_empty() {
+            .min_by_key(|service| service.queue_depth());
+        let Some(service) = least_loaded else {
             // No replica retains it; the primary either serves the pin
             // or produces the typed `VersionNotRetained` error (a pin
             // below its window) or `VersionNotReached` (a pin above its
             // newest version).
-            return self.dispatch(&[Arc::clone(&self.primary)], request);
-        }
-        match self.dispatch(&eligible, request) {
+            return self.dispatch(&self.primary, request);
+        };
+        match self.dispatch(&service, request) {
             Err(err)
                 if Self::failover_worthy(&err)
                     || matches!(
@@ -462,23 +450,27 @@ impl Fleet {
                 // window moved) under the request: fail over to the
                 // primary, the endpoint of last resort for pins.
                 self.failovers.fetch_add(1, Ordering::AcqRel);
-                self.dispatch(&[Arc::clone(&self.primary)], request)
+                self.dispatch(&self.primary, request)
             }
             outcome => outcome,
         }
     }
 
-    /// Admission control + least-loaded selection over the eligible
-    /// endpoints, then a blocking call on the winner.
-    fn dispatch(
-        &self,
-        eligible: &[Arc<QueryService>],
-        request: Request,
-    ) -> Result<Response, FleetError> {
-        let service = eligible
+    /// The services of the routable replicas that have applied
+    /// `version`, in slot order: the candidates a read picks its
+    /// least-loaded endpoint from, in place, without collecting them.
+    fn caught_up(&self, version: u64) -> impl Iterator<Item = Arc<QueryService>> + '_ {
+        self.replicas
             .iter()
-            .min_by_key(|service| service.queue_depth())
-            .expect("invariant: the router always offers at least one endpoint");
+            .filter(move |replica| {
+                self.registry.health(replica.slot()).is_routable()
+                    && self.registry.applied(replica.slot()) >= version
+            })
+            .map(Replica::service)
+    }
+
+    /// Admission control on the chosen endpoint, then a blocking call.
+    fn dispatch(&self, service: &QueryService, request: Request) -> Result<Response, FleetError> {
         let queue_depth = service.queue_depth();
         if queue_depth >= self.max_pending {
             return Err(FleetError::Overloaded {

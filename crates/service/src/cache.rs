@@ -213,12 +213,23 @@ impl ResultCache {
     /// When the entry was filled by `query` itself, the cached `Arc` is
     /// returned as is. Otherwise the run's scores and counters are
     /// rewrapped under `query`, so [`QueryOutput::query`] and
-    /// [`QueryOutput::ranking`] always describe the request.
+    /// [`QueryOutput::ranking`] always describe the request. The rewrap
+    /// shares the cached scores ([`probesim_core::SparseScores`] clones
+    /// are reference-count bumps), so no score is copied.
     pub fn get(&self, version: u64, query: &Query) -> Option<Arc<QueryOutput>> {
-        let Some(cached) = self.lookup((version, query.node())) else {
+        let hit = self.get_hit(version, query);
+        if hit.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
+        }
+        hit
+    }
+
+    /// [`ResultCache::get`] that counts a hit but never a miss: for a
+    /// caller that, on a miss, goes on to a later `get` which counts it.
+    /// The service's caller-side lookup uses it, so `hits + misses`
+    /// still grows by exactly one per request.
+    pub fn get_hit(&self, version: u64, query: &Query) -> Option<Arc<QueryOutput>> {
+        let cached = self.lookup((version, query.node()))?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         if cached.query == *query {
             return Some(cached);

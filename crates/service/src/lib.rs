@@ -18,8 +18,8 @@
 //!
 //! ## The lifecycle of a request
 //!
-//! [`QueryService::submit`] timestamps the [`Request`] and enqueues it
-//! (interactive ahead of batch); a worker dequeues it and:
+//! [`QueryService::submit`] and [`QueryService::call`] timestamp the
+//! [`Request`] and run steps 1–3 first on the **caller's thread**:
 //!
 //! 1. **deadline** — if the request's deadline (queue wait included)
 //!    already passed, it fails fast with
@@ -32,9 +32,17 @@
 //!    `(version, source)` is looked up in the LRU result cache. One
 //!    entry answers every query kind for its source, because all three
 //!    kinds run the same single-source estimate and differ only in the
-//!    view over its scores. A hit returns immediately (`cache_hit:
-//!    true`, bit-identical to fresh execution at that version by
-//!    construction, zero probe work);
+//!    view over its scores (a cross-kind hit shares the cached scores,
+//!    it copies none). A hit returns immediately (`cache_hit: true`,
+//!    bit-identical to fresh execution at that version by construction,
+//!    zero probe work, zero `queue_wait`): it takes no queue lock, wakes
+//!    no worker and, through `call`, allocates no reply channel.
+//!
+//! Only misses and errors are queued (interactive ahead of batch). A
+//! worker dequeues the request, runs steps 1–3 again — producing and
+//! counting an error exactly there, and looking up again because
+//! another worker may have filled the entry meanwhile — and then:
+//!
 //! 4. **execute** — a miss runs on the worker's pooled session
 //!    (rebound across versions without reallocating scratch) under a
 //!    [`probesim_core::ProbeBudget`] armed with the remaining deadline

@@ -169,7 +169,8 @@ pub struct Response {
     /// entry may have been filled by another query kind on the same
     /// source; `output.query` is always this request's query.
     pub cache_hit: bool,
-    /// Time spent queued before a worker picked the request up.
+    /// Time spent queued before a worker picked the request up. Zero
+    /// for a hit answered on the caller's thread, which is never queued.
     pub queue_wait: Duration,
     /// Time spent resolving + executing (cache hits: lookup time only).
     pub exec_time: Duration,

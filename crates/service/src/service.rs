@@ -110,6 +110,7 @@ impl ServiceBuilder {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
                 shutdown: false,
+                drainers: 0,
             }),
             queue_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -146,9 +147,12 @@ impl ServiceBuilder {
 /// Aggregate serving counters ([`QueryService::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Requests accepted by `submit`/`call`.
+    /// Requests `submit`/`call` queued for a worker. A cache hit is
+    /// answered on the caller's thread and is not queued, so it is
+    /// counted in `cache_hits` only.
     pub submitted: u64,
-    /// Requests answered (successfully or with an error).
+    /// Queued requests a worker answered (successfully or with an
+    /// error).
     pub completed: u64,
     /// Responses served from the result cache.
     pub cache_hits: u64,
@@ -168,8 +172,8 @@ pub struct ServiceStats {
     /// Cache entries dropped by writer-side invalidation (see
     /// [`ResultCache::invalidated`]).
     pub cache_invalidated: u64,
-    /// Requests accepted but not yet answered (`submitted - completed`)
-    /// — the router's load signal.
+    /// Queued requests not yet answered (`submitted - completed`) — the
+    /// router's load signal.
     pub queue_depth: u64,
     /// The newest published store version.
     pub applied_version: u64,
@@ -192,6 +196,10 @@ struct ServeState {
     interactive: VecDeque<Job>,
     batch: VecDeque<Job>,
     shutdown: bool,
+    /// `drain` callers blocked on `done_cv`. Workers notify only while
+    /// it is nonzero: a futex condvar makes every notify a syscall, even
+    /// with nobody waiting.
+    drainers: usize,
 }
 
 impl ServeState {
@@ -212,8 +220,8 @@ struct Shared {
     default_deadline: Option<Duration>,
     state: Mutex<ServeState>,
     queue_cv: Condvar,
-    /// Signaled (with the state lock held) after every completed
-    /// request, so `drain` can block instead of spinning.
+    /// Signaled (with the state lock held) after a completed request
+    /// while a `drain` waits, so `drain` can block instead of spinning.
     done_cv: Condvar,
     published: RwLock<Published>,
     submitted: AtomicU64,
@@ -224,6 +232,60 @@ struct Shared {
 }
 
 impl Shared {
+    /// Steps 1–2 of a request plus validation: fails once the deadline
+    /// (counted from `submitted_at`) has passed, resolves the snapshot
+    /// the consistency level names and validates the query against it.
+    /// Returns the snapshot and the absolute deadline, if any.
+    fn admit(
+        &self,
+        request: &Request,
+        submitted_at: Instant,
+    ) -> Result<(GraphSnapshot, Option<Instant>), ServiceError> {
+        let deadline_at = request
+            .deadline
+            .or(self.default_deadline)
+            .map(|d| submitted_at + d);
+        // Expired requests fail fast with zero partial work — the
+        // deadline covers the whole request lifetime, not just execution.
+        if deadline_at.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(QueryError::DeadlineExceeded {
+                partial: QueryStats::default(),
+            }
+            .into());
+        }
+        let snapshot = self.resolve(request.consistency)?;
+        // Validate before the lookup: entries are shared by every query
+        // kind of a source, so an invalid shape (`k = 0`, a negative or
+        // NaN `tau`) on a cached source would otherwise be answered as a
+        // hit.
+        probesim_core::session::validate(&snapshot, &request.query)?;
+        Ok((snapshot, deadline_at))
+    }
+
+    /// The caller-side fast path: answers `request` from the result
+    /// cache without queueing it. Anything else — a miss, an expired
+    /// deadline, an unresolvable version, an invalid query — returns
+    /// `None` and is left to the queue, where [`serve`] produces the
+    /// answer or the error and counts it. A miss is not counted here:
+    /// the queued lookup counts it, so each request counts exactly one
+    /// hit or miss.
+    fn answer_hit(&self, request: &Request, submitted_at: Instant) -> Option<Response> {
+        if self.cache.capacity() == 0 {
+            return None;
+        }
+        let (snapshot, _) = self.admit(request, submitted_at).ok()?;
+        let version = snapshot.version();
+        let lookup_start = Instant::now();
+        let output = self.cache.get_hit(version, &request.query)?;
+        Some(Response {
+            output,
+            version,
+            cache_hit: true,
+            queue_wait: Duration::ZERO,
+            exec_time: lookup_start.elapsed(),
+        })
+    }
+
     fn resolve(&self, consistency: Consistency) -> Result<GraphSnapshot, ServiceError> {
         let published = self.published.read().expect("published slot poisoned");
         let newest = published.latest.version();
@@ -290,13 +352,14 @@ fn worker_loop(shared: &Shared) {
             }
             _ => {}
         }
-        // Publish completion under the state lock so a drainer blocked
-        // on `done_cv` cannot miss the wakeup between its counter check
-        // and its wait.
+        // Publish completion under the state lock so a drainer cannot
+        // miss the wakeup between its counter check and its wait.
         {
-            let _state = shared.state.lock().expect("serve state poisoned");
+            let state = shared.state.lock().expect("serve state poisoned");
             shared.completed.fetch_add(1, Ordering::SeqCst);
-            shared.done_cv.notify_all();
+            if state.drainers > 0 {
+                shared.done_cv.notify_all();
+            }
         }
         // A dropped ticket is fine — the response is simply discarded.
         let _ = job.reply.send(result);
@@ -309,28 +372,11 @@ fn serve(
     job: &Job,
 ) -> Result<Response, ServiceError> {
     let queue_wait = job.submitted_at.elapsed();
-    let deadline_at = job
-        .request
-        .deadline
-        .or(shared.default_deadline)
-        .map(|d| job.submitted_at + d);
-    // Queue-expired requests fail fast with zero partial work — the
-    // deadline covers the whole request lifetime, not just execution.
-    if let Some(deadline) = deadline_at {
-        if Instant::now() >= deadline {
-            return Err(QueryError::DeadlineExceeded {
-                partial: QueryStats::default(),
-            }
-            .into());
-        }
-    }
-    let snapshot = shared.resolve(job.request.consistency)?;
-    // Validate before the lookup: entries are shared by every query kind
-    // of a source, so an invalid shape (`k = 0`, a negative or NaN `tau`)
-    // on a cached source would otherwise be answered as a hit.
-    probesim_core::session::validate(&snapshot, &job.request.query)?;
+    let (snapshot, deadline_at) = shared.admit(&job.request, job.submitted_at)?;
     let version = snapshot.version();
     let exec_start = Instant::now();
+    // Looked up again although the caller's lookup missed: another
+    // worker may have filled the entry since.
     if let Some(output) = shared.cache.get(version, &job.request.query) {
         // `(version, source)` hit: bit-identical to fresh execution at
         // this version by construction, zero probe work spent.
@@ -395,7 +441,8 @@ fn serve(
 ///   the blocking [`QueryService::call`]; requests carry deadlines,
 ///   priorities and consistency levels, and responses report the
 ///   answering version, the queue/exec latency split and whether the
-///   cache served them.
+///   cache served them. A cache hit is answered on the caller's thread;
+///   only misses and errors are queued for the worker pool.
 /// * **The writer** goes through [`QueryService::commit`]: each
 ///   effective update mutates the store, drops the cache entries that
 ///   left the retention window, publishes a fresh snapshot and extends
@@ -427,14 +474,36 @@ impl std::fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Enqueues a request, returning a [`Ticket`] to wait on. Interactive
-    /// requests are dequeued before batch requests.
+    /// Submits a request, returning a [`Ticket`] to wait on. A cache hit
+    /// is answered on the calling thread and its ticket is already
+    /// resolved; anything else is queued for a worker, interactive
+    /// requests ahead of batch requests.
     pub fn submit(&self, request: Request) -> Ticket {
+        let submitted_at = Instant::now();
+        if let Some(response) = self.shared.answer_hit(&request, submitted_at) {
+            let (tx, rx) = mpsc::channel();
+            let _ = tx.send(Ok(response));
+            return Ticket { rx };
+        }
+        self.enqueue(request, submitted_at)
+    }
+
+    /// Submits and blocks for the answer. A cache hit is answered on the
+    /// calling thread: no queue, no worker wake-up, no reply channel.
+    pub fn call(&self, request: Request) -> Result<Response, ServiceError> {
+        let submitted_at = Instant::now();
+        if let Some(response) = self.shared.answer_hit(&request, submitted_at) {
+            return Ok(response);
+        }
+        self.enqueue(request, submitted_at).wait()
+    }
+
+    fn enqueue(&self, request: Request, submitted_at: Instant) -> Ticket {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             request,
-            submitted_at: Instant::now(),
+            submitted_at,
             reply: tx,
         };
         {
@@ -450,11 +519,6 @@ impl QueryService {
             }
         }
         Ticket { rx }
-    }
-
-    /// Submits and blocks for the answer.
-    pub fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        self.submit(request).wait()
     }
 
     /// Applies one graph update through the service's writer path.
@@ -560,10 +624,11 @@ impl QueryService {
         }
     }
 
-    /// Requests accepted but not yet answered — a cheap atomic read the
-    /// fleet router uses for least-loaded selection and admission
-    /// control. `completed` is loaded first so a concurrent completion
-    /// can only make the result conservative (never negative).
+    /// Queued requests not yet answered — a cheap atomic read the fleet
+    /// router uses for least-loaded selection and admission control.
+    /// Cache hits are answered on the caller's thread and never counted.
+    /// `completed` is loaded first so a concurrent completion can only
+    /// make the result conservative (never negative).
     pub fn queue_depth(&self) -> u64 {
         let completed = self.shared.completed.load(Ordering::Relaxed);
         let submitted = self.shared.submitted.load(Ordering::Relaxed);
@@ -571,7 +636,8 @@ impl QueryService {
     }
 
     /// Blocks until every queued request has been answered (drains the
-    /// queue without shutting down). Intended for benchmarks that want a
+    /// queue without shutting down). Cache hits answered on callers'
+    /// threads are never waited on. Intended for benchmarks that want a
     /// quiesced service before reading counters.
     pub fn drain(&self) {
         let mut state = self.shared.state.lock().expect("serve state poisoned");
@@ -585,11 +651,13 @@ impl QueryService {
             {
                 return;
             }
+            state.drainers += 1;
             state = self
                 .shared
                 .done_cv
                 .wait(state)
                 .expect("serve state poisoned");
+            state.drainers -= 1;
         }
     }
 }
@@ -945,6 +1013,57 @@ mod tests {
         }
         // At least nothing hung; racy counts are both acceptable.
         assert!(shutdowns <= 4);
+    }
+
+    #[test]
+    fn drain_never_loses_a_wake_up() {
+        // Ping-pong: each round stalls the worker behind the published
+        // write lock, queues one request and starts a `drain` on another
+        // thread, then releases the worker. The drain must return within
+        // 1 s of the request's completion. On even rounds the release
+        // waits until the drainer is counted (blocked on `done_cv`), on
+        // odd rounds it races the drainer's check. The cache is off, so
+        // `submit` queues without touching the stalled lock.
+        const ROUNDS: u32 = 200;
+        let service = Arc::new(
+            ServiceBuilder::new(ProbeSimConfig::new(TOY_DECAY, 0.05, 0.01).with_seed(0xBEEF))
+                .workers(1)
+                .cache_capacity(0)
+                .build(GraphStore::from_view(&toy_graph())),
+        );
+        let (start, starts) = mpsc::channel::<()>();
+        let (drained, drains) = mpsc::channel();
+        // Detached rather than scoped, so a lost wake-up fails the test
+        // at its timeout instead of hanging it on the stuck drainer.
+        let drainer = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                while starts.recv().is_ok() {
+                    service.drain();
+                    drained.send(()).unwrap();
+                }
+            })
+        };
+        for round in 0..ROUNDS {
+            let stall = service.shared.published.write().unwrap();
+            let ticket = service.submit(Request::new(Query::SingleSource { node: A }));
+            start.send(()).unwrap();
+            if round % 2 == 0 {
+                while service.shared.state.lock().unwrap().drainers == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            drop(stall);
+            ticket.wait().unwrap();
+            drains
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: completion did not wake drain"));
+        }
+        drop(start);
+        drainer.join().unwrap();
+        assert_eq!(service.shared.state.lock().unwrap().drainers, 0);
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (200, 200));
     }
 
     #[test]
